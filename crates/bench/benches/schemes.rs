@@ -6,7 +6,8 @@
 //! Run: `cargo bench -p lp-bench --bench schemes`.
 
 use lp_core::scheme::Scheme;
-use lp_kernels::tmm::{self, TmmParams};
+use lp_kernels::driver;
+use lp_kernels::tmm::{Tmm, TmmParams};
 use lp_sim::config::MachineConfig;
 use std::time::Instant;
 
@@ -35,7 +36,7 @@ fn main() {
         let mut verified = true;
         for _ in 0..samples {
             let start = Instant::now();
-            let run = tmm::run(&cfg, params, scheme);
+            let run = driver::run::<Tmm>(&cfg, params, scheme);
             let secs = start.elapsed().as_secs_f64();
             verified &= run.verified;
             best = best.min(secs);

@@ -13,7 +13,8 @@
 use lp_bench::{overhead_pct, print_table, BenchArgs};
 use lp_core::checksum::ChecksumKind;
 use lp_core::scheme::Scheme;
-use lp_kernels::tmm::{self, Tmm, TmmParams};
+use lp_kernels::driver;
+use lp_kernels::tmm::{Tmm, TmmParams};
 use lp_sim::machine::{Machine, Outcome};
 use lp_sim::prelude::CrashTrigger;
 
@@ -31,9 +32,9 @@ fn main() {
 
     // Normal-execution price.
     eprintln!("ablation: measuring normal-execution cost...");
-    let base = tmm::run(&cfg, params, Scheme::Base);
-    let lazy = tmm::run(&cfg, params, Scheme::Lazy(ChecksumKind::Modular));
-    let eager_ck = tmm::run(&cfg, params, Scheme::LazyEagerCk(ChecksumKind::Modular));
+    let base = driver::run::<Tmm>(&cfg, params, Scheme::Base);
+    let lazy = driver::run::<Tmm>(&cfg, params, Scheme::Lazy(ChecksumKind::Modular));
+    let eager_ck = driver::run::<Tmm>(&cfg, params, Scheme::LazyEagerCk(ChecksumKind::Modular));
     assert!(base.verified && lazy.verified && eager_ck.verified);
 
     let rows = vec![

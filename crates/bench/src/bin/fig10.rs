@@ -9,7 +9,8 @@
 
 use lp_bench::{norm, print_bars, print_table, run_cells, BenchArgs};
 use lp_core::scheme::Scheme;
-use lp_kernels::tmm::{self, TmmParams};
+use lp_kernels::driver;
+use lp_kernels::tmm::{Tmm, TmmParams};
 
 fn main() {
     let args = BenchArgs::parse();
@@ -35,7 +36,7 @@ fn main() {
     ];
     let runs = run_cells(args.host_jobs(), &schemes, |&(label, scheme)| {
         let t0 = std::time::Instant::now();
-        let run = tmm::run(&cfg, params, scheme);
+        let run = driver::run::<Tmm>(&cfg, params, scheme);
         assert!(run.verified, "{label}: output verification failed");
         eprintln!("  {label}: done");
         (run, t0.elapsed())

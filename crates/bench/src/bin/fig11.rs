@@ -10,7 +10,8 @@
 
 use lp_bench::{print_table, run_cells, BenchArgs};
 use lp_core::scheme::Scheme;
-use lp_kernels::tmm::{self, TmmParams};
+use lp_kernels::driver;
+use lp_kernels::tmm::{Tmm, TmmParams};
 use lp_sim::cleaner::CleanerConfig;
 
 fn main() {
@@ -33,7 +34,7 @@ fn main() {
     let jobs = args.host_jobs();
     let ref_schemes = [Scheme::Base, Scheme::Eager, Scheme::lazy_default()];
     let mut refs = run_cells(jobs, &ref_schemes, |&scheme| {
-        let run = tmm::run(&cfg, params, scheme);
+        let run = driver::run::<Tmm>(&cfg, params, scheme);
         assert!(run.verified, "{scheme}");
         run
     });
@@ -51,7 +52,7 @@ fn main() {
         let cfg_clean = cfg
             .clone()
             .with_cleaner(CleanerConfig::every_cycles(interval));
-        let run = tmm::run(&cfg_clean, params, Scheme::lazy_default());
+        let run = driver::run::<Tmm>(&cfg_clean, params, Scheme::lazy_default());
         assert!(run.verified, "fraction {frac}");
         eprintln!("  fraction {frac}: done");
         (interval, run)

@@ -10,7 +10,8 @@
 
 use lp_bench::{overhead_pct, print_table, run_cells, BenchArgs};
 use lp_core::scheme::Scheme;
-use lp_kernels::tmm::{self, TmmParams};
+use lp_kernels::driver;
+use lp_kernels::tmm::{Tmm, TmmParams};
 
 fn main() {
     let args = BenchArgs::parse();
@@ -35,7 +36,7 @@ fn main() {
     let runs = run_cells(args.host_jobs(), &cells, |&(read_ns, write_ns, scheme)| {
         eprintln!("fig14a: ({read_ns}, {write_ns}) ns {scheme}...");
         let cfg = args.base_config().with_nvmm_latency_ns(read_ns, write_ns);
-        let run = tmm::run(&cfg, params, scheme);
+        let run = driver::run::<Tmm>(&cfg, params, scheme);
         assert!(run.verified, "({read_ns}, {write_ns}) {scheme}");
         run
     });

@@ -8,7 +8,8 @@
 
 use lp_bench::{print_table, run_cells, BenchArgs};
 use lp_core::scheme::Scheme;
-use lp_kernels::tmm::{self, TmmParams};
+use lp_kernels::driver;
+use lp_kernels::tmm::{Tmm, TmmParams};
 
 fn main() {
     let args = BenchArgs::parse();
@@ -32,7 +33,7 @@ fn main() {
         eprintln!("fig14b: {threads} thread(s) {scheme}...");
         let mut params = params0;
         params.threads = threads;
-        let run = tmm::run(&cfg, params, scheme);
+        let run = driver::run::<Tmm>(&cfg, params, scheme);
         assert!(run.verified, "{threads} threads {scheme}");
         run
     });

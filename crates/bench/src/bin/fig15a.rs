@@ -9,7 +9,8 @@
 
 use lp_bench::{overhead_pct, print_table, run_cells, BenchArgs};
 use lp_core::scheme::Scheme;
-use lp_kernels::tmm::{self, TmmParams};
+use lp_kernels::driver;
+use lp_kernels::tmm::{Tmm, TmmParams};
 
 fn main() {
     let args = BenchArgs::parse();
@@ -34,7 +35,7 @@ fn main() {
     let runs = run_cells(args.host_jobs(), &cells, |&(l2_kb, scheme)| {
         eprintln!("fig15a: L2 {l2_kb} KB {scheme}...");
         let cfg = args.base_config().with_l2_bytes(l2_kb * 1024);
-        let run = tmm::run(&cfg, params, scheme);
+        let run = driver::run::<Tmm>(&cfg, params, scheme);
         assert!(run.verified, "L2 {l2_kb} KB {scheme}");
         run
     });

@@ -9,7 +9,8 @@
 use lp_bench::{overhead_pct, print_table, run_cells, BenchArgs};
 use lp_core::checksum::ChecksumKind;
 use lp_core::scheme::Scheme;
-use lp_kernels::tmm::{self, TmmParams};
+use lp_kernels::driver;
+use lp_kernels::tmm::{Tmm, TmmParams};
 
 fn main() {
     let args = BenchArgs::parse();
@@ -28,7 +29,7 @@ fn main() {
     cells.push(Scheme::Eager);
     let runs = run_cells(args.host_jobs(), &cells, |&scheme| {
         eprintln!("fig15b: {scheme}...");
-        let run = tmm::run(&cfg, params, scheme);
+        let run = driver::run::<Tmm>(&cfg, params, scheme);
         if scheme != Scheme::Eager {
             assert!(run.verified, "{scheme}");
         }

@@ -12,7 +12,8 @@
 
 use lp_bench::{overhead_pct, print_table, BenchArgs};
 use lp_core::scheme::Scheme;
-use lp_kernels::tmm::{self, Tmm, TmmParams};
+use lp_kernels::driver;
+use lp_kernels::tmm::{Tmm, TmmParams};
 use lp_sim::machine::{Machine, Outcome};
 use lp_sim::prelude::CrashTrigger;
 
@@ -33,8 +34,8 @@ fn main() {
         };
         eprintln!("granularity: bsize={bsize}...");
         // Overhead side: LP vs base at this granularity.
-        let base = tmm::run(&cfg, params, Scheme::Base);
-        let lp = tmm::run(&cfg, params, Scheme::lazy_default());
+        let base = driver::run::<Tmm>(&cfg, params, Scheme::Base);
+        let lp = driver::run::<Tmm>(&cfg, params, Scheme::lazy_default());
         assert!(base.verified && lp.verified);
         let regions = params.window() * params.nb();
 

@@ -9,7 +9,8 @@
 
 use lp_bench::{print_table, BenchArgs};
 use lp_core::scheme::Scheme;
-use lp_kernels::tmm::{self, TmmParams};
+use lp_kernels::driver;
+use lp_kernels::tmm::{Tmm, TmmParams};
 
 fn main() {
     let args = BenchArgs::parse();
@@ -31,7 +32,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut base_vdur = 0u64;
     for (label, scheme) in schemes {
-        let run = tmm::run(&cfg, params, scheme);
+        let run = driver::run::<Tmm>(&cfg, params, scheme);
         assert!(run.verified, "{label}");
         let vdur = run.stats.mem.max_volatility;
         if base_vdur == 0 {

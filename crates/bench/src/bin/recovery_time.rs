@@ -53,7 +53,7 @@ fn main() {
 
     // Crash roughly three-quarters of the way through the run.
     eprintln!("recovery_time: sizing the run...");
-    let probe = lp_kernels::tmm::run(&cfg, params, Scheme::lazy_default());
+    let probe = lp_kernels::driver::run::<Tmm>(&cfg, params, Scheme::lazy_default());
     let total_ops = probe.stats.instructions(); // proxy; mem ops scale with it
     let crash_ops = (total_ops / 8).max(10_000); // instructions >> mem ops
     let probe_cycles = probe.cycles().max(1);

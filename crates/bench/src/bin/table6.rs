@@ -9,7 +9,8 @@
 
 use lp_bench::{print_table, run_cells, BenchArgs};
 use lp_core::scheme::Scheme;
-use lp_kernels::tmm::{self, TmmParams};
+use lp_kernels::driver;
+use lp_kernels::tmm::{Tmm, TmmParams};
 
 fn main() {
     let args = BenchArgs::parse();
@@ -29,7 +30,7 @@ fn main() {
         ("tmm+LP", Scheme::lazy_default()),
     ];
     let runs = run_cells(args.host_jobs(), &schemes, |&(label, scheme)| {
-        let run = tmm::run(&cfg, params, scheme);
+        let run = driver::run::<Tmm>(&cfg, params, scheme);
         assert!(run.verified, "{label}");
         eprintln!("  {label}: done");
         run

@@ -44,8 +44,9 @@
 //!
 //! // Recovery detects the inconsistent region by checksum mismatch.
 //! let mut ctx = m.ctx(0);
+//! let slots = (0..64).map(|i| (out, i));
 //! let consistent = lp_core::recovery::region_consistent(
-//!     &mut ctx, &handles.table, 0, ChecksumKind::Modular, out, 0..64);
+//!     &mut ctx, &handles.table, 0, ChecksumKind::Modular, slots);
 //! assert!(!consistent);
 //! ```
 
@@ -65,7 +66,7 @@ pub mod prelude {
     pub use crate::checksum::{ChecksumKind, RunningChecksum};
     pub use crate::ep::{persist_range, persist_store, EagerCommitter};
     pub use crate::parity::{ParityArena, RepairVerdict};
-    pub use crate::recovery::{region_consistent, RecoveryStats};
+    pub use crate::recovery::{region_consistent, Recovery, RecoveryStats, StoreSink};
     pub use crate::scheme::{RegionSession, Scheme, SchemeHandles, ThreadPersist};
     pub use crate::table::ChecksumTable;
     pub use crate::track::{RangeRole, TrackedRange};

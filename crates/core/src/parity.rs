@@ -270,31 +270,14 @@ fn write_back_line<T: Scalar>(
 /// lines, re-verify against the region checksum, and only then write it
 /// back (flushed + fenced, scrubbing the poison).
 ///
-/// `indices` are the region's elements of `arr` in checksum fold order;
+/// `slots` are the region's elements in checksum fold order (across
+/// arrays, for regions that interleave several — fft's re/im pair);
 /// `poisoned` is the sorted poisoned-line list from
 /// [`lp_sim::memsys::MemSystem::poisoned_lines`]. The repair never reads
 /// the poisoned line and never writes anything unless the reconstruction
 /// verified — a failed attempt is side-effect free, so escalation (and
 /// re-entry after a nested crash) always starts from the untouched image.
-#[allow(clippy::too_many_arguments)] // the repair context: handles + region + fault set
 pub fn try_poison_repair<T: Scalar>(
-    ctx: &mut CoreCtx<'_>,
-    table: &ChecksumTable,
-    parity: &ParityArena,
-    key: usize,
-    kind: ChecksumKind,
-    arr: PArray<T>,
-    indices: &[usize],
-    poisoned: &[LineAddr],
-) -> RepairVerdict {
-    let slots: Vec<Slot<T>> = indices.iter().map(|&i| (arr, i)).collect();
-    try_poison_repair_slots(ctx, table, parity, key, kind, &slots, poisoned)
-}
-
-/// [`try_poison_repair`] for regions whose fold order interleaves several
-/// arrays (fft's re/im pair): `slots` lists every region element in
-/// checksum fold order.
-pub fn try_poison_repair_slots<T: Scalar>(
     ctx: &mut CoreCtx<'_>,
     table: &ChecksumTable,
     parity: &ParityArena,
@@ -357,21 +340,6 @@ pub fn try_poison_repair_slots<T: Scalar>(
 /// durably); `false` means no single-line substitution explains the
 /// mismatch and the caller must escalate to rung 2.
 pub fn try_mismatch_repair<T: Scalar>(
-    ctx: &mut CoreCtx<'_>,
-    table: &ChecksumTable,
-    parity: &ParityArena,
-    key: usize,
-    kind: ChecksumKind,
-    arr: PArray<T>,
-    indices: &[usize],
-) -> bool {
-    let slots: Vec<Slot<T>> = indices.iter().map(|&i| (arr, i)).collect();
-    try_mismatch_repair_slots(ctx, table, parity, key, kind, &slots)
-}
-
-/// [`try_mismatch_repair`] for regions whose fold order interleaves
-/// several arrays.
-pub fn try_mismatch_repair_slots<T: Scalar>(
     ctx: &mut CoreCtx<'_>,
     table: &ChecksumTable,
     parity: &ParityArena,
@@ -471,11 +439,9 @@ mod tests {
             m.mem_mut().poison_line(line);
             let poisoned = m.mem_mut().poisoned_lines();
             assert_eq!(poisoned.len(), 1);
-            let indices: Vec<usize> = (0..32).collect();
+            let slots = to_slots(arr, &(0..32).collect::<Vec<_>>());
             let mut ctx = m.ctx(0);
-            let v = try_poison_repair(
-                &mut ctx, &h.table, &h.parity, 1, kind, arr, &indices, &poisoned,
-            );
+            let v = try_poison_repair(&mut ctx, &h.table, &h.parity, 1, kind, &slots, &poisoned);
             if !can_certify(kind, 32) {
                 // The checksum cannot certify an XOR reconstruction
                 // (tautology or transfer cancellation): rung 1 must
@@ -503,7 +469,7 @@ mod tests {
         m.mem_mut().poison_line(arr.addr(0).line());
         m.mem_mut().poison_line(arr.addr(8).line());
         let poisoned = m.mem_mut().poisoned_lines();
-        let indices: Vec<usize> = (0..32).collect();
+        let slots = to_slots(arr, &(0..32).collect::<Vec<_>>());
         let mut ctx = m.ctx(0);
         let v = try_poison_repair(
             &mut ctx,
@@ -511,8 +477,7 @@ mod tests {
             &h.parity,
             1,
             ChecksumKind::Crc32,
-            arr,
-            &indices,
+            &slots,
             &poisoned,
         );
         assert_eq!(v, RepairVerdict::Failed, "XOR cannot reconstruct 2 lines");
@@ -529,7 +494,7 @@ mod tests {
         let (mut m, h, arr) = committed_region(ChecksumKind::Crc32);
         m.mem_mut().poison_line(arr.addr(16).line());
         let poisoned = m.mem_mut().poisoned_lines();
-        let indices: Vec<usize> = (0..32).collect();
+        let slots = to_slots(arr, &(0..32).collect::<Vec<_>>());
         // Key 3 was never committed: no checksum entry, repair refuses.
         {
             let mut ctx = m.ctx(0);
@@ -539,8 +504,7 @@ mod tests {
                 &h.parity,
                 3,
                 ChecksumKind::Crc32,
-                arr,
-                &indices,
+                &slots,
                 &poisoned,
             );
             assert_eq!(v, RepairVerdict::Failed);
@@ -555,8 +519,7 @@ mod tests {
             &h.parity,
             1,
             ChecksumKind::Crc32,
-            arr,
-            &indices,
+            &slots,
             &poisoned,
         );
         assert_eq!(v, RepairVerdict::Failed, "stale parity is self-checking");
@@ -568,7 +531,7 @@ mod tests {
         // line must report Clean (not Failed) under *any* checksum, so
         // per-region callers like cholesky can keep scanning.
         let (mut m, h, arr) = committed_region(ChecksumKind::Modular);
-        let indices: Vec<usize> = (0..32).collect();
+        let slots = to_slots(arr, &(0..32).collect::<Vec<_>>());
         let mut ctx = m.ctx(0);
         let v = try_poison_repair(
             &mut ctx,
@@ -576,8 +539,7 @@ mod tests {
             &h.parity,
             1,
             ChecksumKind::Modular,
-            arr,
-            &indices,
+            &slots,
             &[],
         );
         assert_eq!(v, RepairVerdict::Clean);
@@ -591,7 +553,7 @@ mod tests {
             // Silently corrupt one word of line 1 in the durable image.
             let garbled = f64::from_bits(before[11] ^ (1 << 17));
             m.poke(arr, 11, garbled);
-            let indices: Vec<usize> = (0..32).collect();
+            let slots = to_slots(arr, &(0..32).collect::<Vec<_>>());
             let mut ctx = m.ctx(0);
             assert!(
                 !crate::recovery::region_consistent(
@@ -599,13 +561,11 @@ mod tests {
                     &h.table,
                     1,
                     kind,
-                    arr,
-                    indices.iter().copied()
+                    slots.iter().copied()
                 ),
                 "{kind}: the flip must be detectable"
             );
-            let repaired =
-                try_mismatch_repair(&mut ctx, &h.table, &h.parity, 1, kind, arr, &indices);
+            let repaired = try_mismatch_repair(&mut ctx, &h.table, &h.parity, 1, kind, &slots);
             if !can_certify(kind, 32) {
                 assert!(!repaired, "{kind}: non-certifying checksum refused");
                 drop(ctx);
@@ -633,19 +593,12 @@ mod tests {
         let b = m.peek(arr, 12).to_bits();
         m.poke(arr, 3, f64::from_bits(a ^ 0xdead));
         m.poke(arr, 12, f64::from_bits(b ^ 0xbeef));
-        let indices: Vec<usize> = (0..32).collect();
+        let slots = to_slots(arr, &(0..32).collect::<Vec<_>>());
         let mut ctx = m.ctx(0);
         // The tautology itself: substituting line 0 from parity makes the
         // XOR fold match the stored checksum even though line 1 is corrupt.
         let stored = h.table.load(&mut ctx, 1).unwrap();
-        let bits = reconstruct(
-            &mut ctx,
-            &h.parity,
-            1,
-            &to_slots(arr, &indices),
-            arr.addr(0).line(),
-        )
-        .unwrap();
+        let bits = reconstruct(&mut ctx, &h.parity, 1, &slots, arr.addr(0).line()).unwrap();
         assert!(
             folds_to(ChecksumKind::Parity, &bits, stored),
             "XOR fold of any parity substitution collapses to the lane XOR"
@@ -657,8 +610,7 @@ mod tests {
             &h.parity,
             1,
             ChecksumKind::Parity,
-            arr,
-            &indices
+            &slots
         ));
     }
 
@@ -686,10 +638,10 @@ mod tests {
         let line = arr.addr(0).line();
         m.mem_mut().poison_line(line);
         let poisoned = m.mem_mut().poisoned_lines();
-        let indices: Vec<usize> = (0..32).collect();
+        let slots = to_slots(arr, &(0..32).collect::<Vec<_>>());
         let mut ctx = m.ctx(0);
         let stored = h.table.load(&mut ctx, 1).unwrap();
-        let bits = reconstruct(&mut ctx, &h.parity, 1, &to_slots(arr, &indices), line).unwrap();
+        let bits = reconstruct(&mut ctx, &h.parity, 1, &slots, line).unwrap();
         assert_eq!(
             bits[3],
             w_target ^ (1u64 << b),
@@ -699,15 +651,14 @@ mod tests {
             folds_to(ChecksumKind::Modular, &bits, stored),
             "the wrapping sum collides on the paired ±2^b deltas"
         );
-        assert!(!can_certify(ChecksumKind::Modular, indices.len()));
+        assert!(!can_certify(ChecksumKind::Modular, slots.len()));
         let v = try_poison_repair(
             &mut ctx,
             &h.table,
             &h.parity,
             1,
             ChecksumKind::Modular,
-            arr,
-            &indices,
+            &slots,
             &poisoned,
         );
         assert_eq!(v, RepairVerdict::Failed, "refused, not falsely repaired");
@@ -720,7 +671,7 @@ mod tests {
         let b = m.peek(arr, 12);
         m.poke(arr, 3, a + 1.0);
         m.poke(arr, 12, b + 1.0);
-        let indices: Vec<usize> = (0..32).collect();
+        let slots = to_slots(arr, &(0..32).collect::<Vec<_>>());
         let mut ctx = m.ctx(0);
         assert!(
             !try_mismatch_repair(
@@ -729,8 +680,7 @@ mod tests {
                 &h.parity,
                 1,
                 ChecksumKind::Crc32,
-                arr,
-                &indices
+                &slots
             ),
             "two corrupt lines exceed single-parity repair"
         );

@@ -82,8 +82,8 @@ pub fn lp_skip_fold() -> CheckCase {
                         ..Default::default()
                     };
                     let mut ctx = m.ctx(0);
-                    let idx = VALS.iter().map(|&(i, _)| i);
-                    if !region_consistent(&mut ctx, &table, KEY, CK, arr, idx) {
+                    let slots = VALS.iter().map(|&(i, _)| (arr, i));
+                    if !region_consistent(&mut ctx, &table, KEY, CK, slots) {
                         st.regions_inconsistent = 1;
                         st.recomputed_regions = 1;
                         for (i, v) in VALS {
@@ -132,7 +132,7 @@ pub fn store_outside_region() -> CheckCase {
                         ..Default::default()
                     };
                     let mut ctx = m.ctx(0);
-                    if !region_consistent(&mut ctx, &table, KEY, CK, arr, [8, 9].into_iter()) {
+                    if !region_consistent(&mut ctx, &table, KEY, CK, [(arr, 8), (arr, 9)]) {
                         st.regions_inconsistent = 1;
                         st.recomputed_regions = 1;
                         eager_store(&mut ctx, arr, 8, 2.0);
@@ -366,14 +366,8 @@ pub fn overlap_write_sets() -> CheckCase {
                     let mut ctx = m.ctx(0);
                     for tid in 0..2 {
                         st.regions_checked += 1;
-                        let consistent = region_consistent(
-                            &mut ctx,
-                            &table,
-                            KEYS[tid],
-                            CK,
-                            arr,
-                            std::iter::once(0),
-                        );
+                        let consistent =
+                            region_consistent(&mut ctx, &table, KEYS[tid], CK, [(arr, 0)]);
                         if !consistent {
                             st.regions_inconsistent += 1;
                             st.recomputed_regions += 1;
@@ -456,12 +450,12 @@ pub fn torn_rewrite() -> CheckCase {
                     };
                     let mut ctx = m.ctx(0);
                     // Newest-first scan, as LP recovery prescribes.
-                    if region_consistent(&mut ctx, &table, K2, CK, vals, [0, 1].into_iter()) {
+                    if region_consistent(&mut ctx, &table, K2, CK, [(vals, 0), (vals, 1)]) {
                         return st;
                     }
                     st.regions_inconsistent += 1;
                     st.recomputed_regions += 1;
-                    if !region_consistent(&mut ctx, &table, K1, CK, vals, [0, 1].into_iter()) {
+                    if !region_consistent(&mut ctx, &table, K1, CK, [(vals, 0), (vals, 1)]) {
                         st.regions_inconsistent += 1;
                         st.recomputed_regions += 1;
                         ctx.store(vals, 0, 100u64);

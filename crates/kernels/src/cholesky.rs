@@ -19,25 +19,19 @@
 //! (enforced `col_window ≤ bsize`), so block 0 recovers first and other
 //! blocks replay their columns newest-consistent-first from the input.
 
-use crate::common::{
-    random_spd, round_robin_blocks, KernelRun, PMatrix, RecoverySink, SchemeSink, StoreSink,
-    IDX_OPS, MUL_ADD_OPS,
-};
-use lp_core::checksum::ChecksumKind;
-use lp_core::recovery::{recompute_checksum, RecoveryStats};
+use crate::common::{random_spd, round_robin_blocks, PMatrix, IDX_OPS, MUL_ADD_OPS};
+use crate::driver::Scale;
+use crate::kernel::{phased, Kernel, Region, Step};
+use lp_core::parity::{RepairVerdict, Slot};
+use lp_core::recovery::{Recovery, StoreSink};
 use lp_core::scheme::{Scheme, SchemeHandles};
+use lp_core::track::{RangeRole, TrackedRange};
 use lp_sim::addr::LineAddr;
-use lp_sim::config::MachineConfig;
 use lp_sim::core::CoreCtx;
-use lp_sim::machine::{Machine, Outcome, ThreadPlan};
+use lp_sim::machine::Machine;
 
 /// Modelled ALU ops for a square root.
 const SQRT_OPS: u64 = 12;
-
-/// Sentinel in a block's column-0 table slot marking a quarantine
-/// rebuild in flight (same journal trick as tmm's strip rebuild). The
-/// column-0 replay commit overwrites it with the real checksum.
-const REBUILD_ARMED: u64 = 0x5EBD_5EBD_5EBD_5EBD;
 
 /// Problem and windowing parameters for one factorization run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,13 +144,23 @@ pub struct Cholesky {
     pub handles: SchemeHandles,
 }
 
-impl Cholesky {
-    /// Allocate and initialize on `machine`.
-    ///
-    /// # Errors
-    ///
-    /// Returns allocation or validation failures as strings.
-    pub fn setup(
+impl Kernel for Cholesky {
+    type Params = CholeskyParams;
+
+    fn params(scale: Scale) -> CholeskyParams {
+        scale.pick([
+            CholeskyParams::micro,
+            CholeskyParams::test_small,
+            CholeskyParams::bench_default,
+            CholeskyParams::paper_default,
+        ])
+    }
+
+    fn threads(params: &CholeskyParams) -> usize {
+        params.threads
+    }
+
+    fn setup(
         machine: &mut Machine,
         params: CholeskyParams,
         scheme: Scheme,
@@ -184,11 +188,110 @@ impl Cholesky {
         })
     }
 
-    /// Checksum-table key of region `(j, block)`.
-    pub fn key(&self, j: usize, block: usize) -> usize {
+    fn handles(&self) -> &SchemeHandles {
+        &self.handles
+    }
+
+    /// Per column, each thread's block regions, then a barrier: column
+    /// `j+1` reads column `j`. (`col_window ≤ bsize` keeps every
+    /// `(column, block)` region non-empty.)
+    fn schedule(&self) -> Vec<Vec<Step>> {
+        phased(&self.ownership(), self.params.col_window, |_| true)
+    }
+
+    /// Key of region `(j, block)`.
+    fn key(&self, (j, block): Region) -> usize {
         j * self.params.nblocks() + block
     }
 
+    /// Column `j`'s entries for this block's rows.
+    fn body<S: StoreSink>(&self, ctx: &mut CoreCtx<'_>, (j, block): Region, sink: &mut S) {
+        let d = self.diag_value(ctx, j);
+        for r in Self::region_rows(&self.params, j, block) {
+            if r == j {
+                sink.store(ctx, self.l.array(), self.l.idx(j, j), d);
+                continue;
+            }
+            let mut s = self.a.load(ctx, r, j);
+            if j > 0 {
+                // Rows `r` and `j` of `l` are both contiguous in `k`;
+                // `sign = -1.0` makes the batched accumulator bit-identical
+                // to the open-coded `s -= lik * ljk` loop.
+                s = ctx.fma_run(
+                    self.l.array(),
+                    self.l.idx(r, 0),
+                    self.l.array(),
+                    self.l.idx(j, 0),
+                    1,
+                    j,
+                    MUL_ADD_OPS + IDX_OPS,
+                    -1.0,
+                    s,
+                );
+            }
+            ctx.compute(MUL_ADD_OPS);
+            sink.store(ctx, self.l.array(), self.l.idx(r, j), s / d);
+        }
+    }
+
+    fn tracked_ranges(&self) -> Vec<TrackedRange> {
+        let mut out = vec![
+            TrackedRange::of("cholesky.l", self.l.array(), RangeRole::Protected),
+            TrackedRange::of("cholesky.a", self.a.array(), RangeRole::Scratch),
+        ];
+        out.extend(self.handles.ranges());
+        out
+    }
+
+    fn verify(&self, machine: &Machine) -> bool {
+        crate::common::values_match(&self.l.peek_all(machine), &Self::golden(&self.params))
+    }
+
+    /// Every data-span line of `l`. Quarantine zeroes whole block rows
+    /// across all columns, so every cell of such a line is restored:
+    /// written cells by column replay, the rest to their golden zeros.
+    fn repairable_lines(&self) -> Vec<LineAddr> {
+        self.l.data_lines(0..self.params.n)
+    }
+
+    /// Lines of `l` where a *silent* bit flip is provably detected.
+    /// Columns are disjoint, so every committed column checksum stays
+    /// valid and the full audit catches a flip in any *written* cell;
+    /// cells past the window or above the diagonal are never covered by a
+    /// checksum, so only lines fully inside a row's written span
+    /// `[0, min(window, r+1))` qualify. (At windows narrower than a line
+    /// this set is empty.)
+    fn flip_lines(&self) -> Vec<LineAddr> {
+        let window = self.params.col_window;
+        let elems_per_line = lp_sim::addr::LINE_BYTES / 8;
+        let mut lines = Vec::new();
+        for r in 0..self.params.n {
+            let span = window.min(r + 1);
+            let full = (span / elems_per_line) * elems_per_line;
+            if full > 0 {
+                lines.extend(self.l.array().lines_of_range(self.l.idx(r, 0), full));
+            }
+        }
+        lines.sort_unstable();
+        lines.dedup();
+        lines
+    }
+
+    fn recover(&self, rec: &mut Recovery<'_>) {
+        match self.scheme {
+            Scheme::Eager | Scheme::Wal => self.recover_replay(rec),
+            _ => {
+                for block in 0..self.params.nblocks() {
+                    self.recover_block(rec, block);
+                }
+            }
+        }
+    }
+}
+
+crate::kernel::inherent_kernel_api!(Cholesky);
+
+impl Cholesky {
     /// Rows of `block` that column `j` writes: the diagonal row `j` if the
     /// block owns it, plus the block's rows strictly below `j`.
     pub fn region_rows(params: &CholeskyParams, j: usize, block: usize) -> Vec<usize> {
@@ -218,85 +321,6 @@ impl Cholesky {
         s.sqrt()
     }
 
-    /// One region: column `j`'s entries for this block's rows.
-    fn region_body<S: StoreSink>(
-        &self,
-        ctx: &mut CoreCtx<'_>,
-        j: usize,
-        block: usize,
-        sink: &mut S,
-    ) {
-        let d = self.diag_value(ctx, j);
-        for r in Self::region_rows(&self.params, j, block) {
-            if r == j {
-                sink.store(ctx, self.l.array(), self.l.idx(j, j), d);
-                continue;
-            }
-            let mut s = self.a.load(ctx, r, j);
-            if j > 0 {
-                // Rows `r` and `j` of `l` are both contiguous in `k`;
-                // `sign = -1.0` makes the batched accumulator bit-identical
-                // to the open-coded `s -= lik * ljk` loop.
-                s = ctx.fma_run(
-                    self.l.array(),
-                    self.l.idx(r, 0),
-                    self.l.array(),
-                    self.l.idx(j, 0),
-                    1,
-                    j,
-                    MUL_ADD_OPS + IDX_OPS,
-                    -1.0,
-                    s,
-                );
-            }
-            ctx.compute(MUL_ADD_OPS);
-            sink.store(ctx, self.l.array(), self.l.idx(r, j), s / d);
-        }
-    }
-
-    /// Per-thread schedules: per column, each thread's non-empty block
-    /// regions, then a barrier.
-    /// Persistent address ranges for the `lp-check` sanitizer.
-    pub fn tracked_ranges(&self) -> Vec<lp_core::track::TrackedRange> {
-        use lp_core::track::{RangeRole, TrackedRange};
-        let mut out = vec![
-            TrackedRange::of("cholesky.l", self.l.array(), RangeRole::Protected),
-            TrackedRange::of("cholesky.a", self.a.array(), RangeRole::Scratch),
-        ];
-        out.extend(self.handles.ranges());
-        out
-    }
-
-    /// Build the scheduled per-core work plans for one run.
-    pub fn plans(&self) -> Vec<ThreadPlan<'static>> {
-        let owners = self.ownership();
-        let mut plans: Vec<ThreadPlan<'static>> = (0..self.params.threads)
-            .map(|_| ThreadPlan::new())
-            .collect();
-        for j in 0..self.params.col_window {
-            for (t, owned) in owners.iter().enumerate() {
-                let tp = self.handles.thread(t);
-                for &block in owned {
-                    if Self::region_rows(&self.params, j, block).is_empty() {
-                        continue;
-                    }
-                    let this = self.clone();
-                    plans[t].region(move |ctx| {
-                        let key = this.key(j, block);
-                        let mut rs = tp.begin(ctx, key);
-                        let mut sink = SchemeSink { tp, rs: &mut rs };
-                        this.region_body(ctx, j, block, &mut sink);
-                        tp.commit(ctx, rs);
-                    });
-                }
-            }
-            for plan in &mut plans {
-                plan.barrier();
-            }
-        }
-        plans
-    }
-
     /// Host golden for the simulated window.
     pub fn golden(params: &CholeskyParams) -> Vec<f64> {
         let n = params.n;
@@ -320,111 +344,11 @@ impl Cholesky {
         l
     }
 
-    /// Whether the durable output matches the golden reference.
-    pub fn verify(&self, machine: &Machine) -> bool {
-        crate::common::values_match(&self.l.peek_all(machine), &Self::golden(&self.params))
-    }
-
-    /// Fold region `(j, block)`'s checksum from current data in store
-    /// order (diagonal first when owned, then descending rows in order).
-    fn fold_region(
-        &self,
-        ctx: &mut CoreCtx<'_>,
-        kind: ChecksumKind,
-        j: usize,
-        block: usize,
-    ) -> u64 {
-        let mut values = Vec::new();
-        for r in Self::region_rows(&self.params, j, block) {
-            values.push(self.l.load(ctx, r, j));
-            ctx.compute(kind.cost_ops());
-        }
-        recompute_checksum(kind, |ck| {
-            for v in values {
-                ck.update(v.to_bits());
-            }
-        })
-    }
-
-    /// Lines of `l` that recovery provably rebuilds — the fault
-    /// campaign's poison target set. Quarantine zeroes whole block rows
-    /// across all columns, so every cell of a data-span line is restored:
-    /// written cells by column replay, the rest to their golden zeros.
-    pub fn repairable_lines(&self) -> Vec<LineAddr> {
-        let n = self.params.n;
-        let mut lines: Vec<LineAddr> = (0..n)
-            .flat_map(|r| self.l.array().lines_of_range(self.l.idx(r, 0), n))
-            .collect();
-        lines.sort_unstable();
-        lines.dedup();
-        lines
-    }
-
-    /// Lines of `l` where a *silent* bit flip is provably detected — the
-    /// fault campaign's flip target set. Columns are disjoint, so every
-    /// committed column checksum stays valid and the full audit catches a
-    /// flip in any *written* cell; cells past the window or above the
-    /// diagonal are never covered by a checksum, so only lines fully
-    /// inside a row's written span `[0, min(window, r+1))` qualify. (At
-    /// windows narrower than a line this set is empty.)
-    pub fn flip_lines(&self) -> Vec<LineAddr> {
-        let window = self.params.col_window;
-        let elems_per_line = lp_sim::addr::LINE_BYTES / 8;
-        let mut lines = Vec::new();
-        for r in 0..self.params.n {
-            let span = window.min(r + 1);
-            let full = (span / elems_per_line) * elems_per_line;
-            if full > 0 {
-                lines.extend(self.l.array().lines_of_range(self.l.idx(r, 0), full));
-            }
-        }
-        lines.sort_unstable();
-        lines.dedup();
-        lines
-    }
-
-    /// Whether any line of `block`'s rows is poisoned.
-    fn block_poisoned(&self, poisoned: &[LineAddr], block: usize) -> bool {
-        let (n, bsize) = (self.params.n, self.params.bsize);
-        (block * bsize..(block + 1) * bsize).any(|r| {
-            lp_core::recovery::range_poisoned(poisoned, self.l.array(), self.l.idx(r, 0), n)
-        })
-    }
-
-    /// Whether `block`'s durable rebuild journal is armed (a prior
-    /// quarantine rebuild crashed mid-way). Same column-0 table-slot
-    /// trick as tmm's strip journal: a partial [`Self::zero_block_full`]
-    /// can scrub a poisoned line's flag through an eviction while cells
-    /// outside the replayed window still hold pattern residue, so the
-    /// poison itself cannot be trusted to survive as the re-entry signal.
-    fn block_rebuild_armed(&self, ctx: &mut CoreCtx<'_>, block: usize) -> bool {
-        self.handles.table.load(ctx, self.key(0, block)) == Some(REBUILD_ARMED)
-    }
-
-    /// Durably arm `block`'s rebuild journal. Must land before the first
-    /// store to any poisoned data line.
-    fn arm_block_rebuild(&self, ctx: &mut CoreCtx<'_>, block: usize) {
-        self.handles
-            .table
-            .store(ctx, self.key(0, block), REBUILD_ARMED);
-        self.handles.table.persist(ctx, self.key(0, block));
-    }
-
-    /// Zero a block's rows across *all* columns eagerly. Used for
-    /// quarantined blocks: a poisoned line may span cells no column
-    /// replay rewrites (past the window, above the diagonal), and those
-    /// must return to their golden zeros. Whole lines are rewritten, so
-    /// the poison is scrubbed exactly when its line becomes fully zero —
-    /// a crash mid-zeroing re-enters quarantine via the surviving poison.
-    fn zero_block_full(&self, ctx: &mut CoreCtx<'_>, block: usize) {
-        let (n, bsize) = (self.params.n, self.params.bsize);
-        for r in block * bsize..(block + 1) * bsize {
-            for j in 0..n {
-                self.l.store(ctx, r, j, 0.0);
-            }
-        }
-        self.l.flush_rows(ctx, block * bsize, bsize);
-        ctx.sfence();
+    /// The elements of region `(j, block)` in fold (store) order:
+    /// diagonal first when owned, then the rows below it.
+    fn slots(&self, j: usize, block: usize) -> Vec<Slot<f64>> {
+        self.l
+            .slots(Self::region_rows(&self.params, j, block), j..j + 1)
     }
 
     /// Zero a block's first `col_window` columns eagerly (its pre-run
@@ -432,20 +356,10 @@ impl Cholesky {
     fn zero_block(&self, ctx: &mut CoreCtx<'_>, block: usize) {
         let (bsize, window) = (self.params.bsize, self.params.col_window);
         for r in block * bsize..(block + 1) * bsize {
-            for j in 0..window.min(r + 1) {
-                self.l.store(ctx, r, j, 0.0);
-            }
+            self.l.store_row_run(ctx, r, 0, window.min(r + 1), 0.0);
             ctx.flush_range(self.l.array(), self.l.idx(r, 0), window.min(r + 1));
         }
         ctx.sfence();
-    }
-
-    /// The element indices of region `(j, block)` in checksum fold order.
-    fn region_indices(&self, j: usize, block: usize) -> Vec<usize> {
-        Self::region_rows(&self.params, j, block)
-            .into_iter()
-            .map(|r| self.l.idx(r, j))
-            .collect()
     }
 
     /// Rung 1 for a poisoned block under `LazyParity`. Structurally
@@ -455,42 +369,17 @@ impl Cholesky {
     /// refuses. The attempt is still made — and its failure recorded — so
     /// the ladder's accounting reflects this kernel's geometry honestly
     /// rather than silently skipping the rung.
-    fn block_poison_repair(
-        &self,
-        ctx: &mut CoreCtx<'_>,
-        kind: ChecksumKind,
-        block: usize,
-        poisoned: &[LineAddr],
-        stats: &mut RecoveryStats,
-    ) -> bool {
+    fn poison_repair(&self, rec: &mut Recovery<'_>, block: usize) -> bool {
         for j in 0..self.params.col_window {
-            if Self::region_rows(&self.params, j, block).is_empty() {
-                continue;
-            }
-            match lp_core::parity::try_poison_repair(
-                ctx,
-                &self.handles.table,
-                &self.handles.parity,
-                self.key(j, block),
-                kind,
-                self.l.array(),
-                &self.region_indices(j, block),
-                poisoned,
-            ) {
-                lp_core::parity::RepairVerdict::Repaired => {
-                    stats.repaired_lines += 1;
-                    return true;
-                }
-                lp_core::parity::RepairVerdict::Failed => {
-                    stats.repair_failures += 1;
-                    break;
-                }
+            match rec.poison_repair(self.key((j, block)), &self.slots(j, block)) {
+                RepairVerdict::Repaired => return true,
+                RepairVerdict::Failed => break,
                 // This column's region misses the poisoned line (columns
                 // are disjoint); a later column may still cover it.
-                lp_core::parity::RepairVerdict::Clean => continue,
+                RepairVerdict::Clean => {}
             }
         }
-        stats.escalations += 1;
+        rec.stats.escalations += 1;
         false
     }
 
@@ -498,183 +387,87 @@ impl Cholesky {
     /// inconsistent ones in ascending order (later columns read earlier
     /// ones). Columns are disjoint, so every committed checksum stays
     /// valid for current data — a newest-first stop would miss a silent
-    /// media flip in an older column. With `repair` (`LazyParity`) the
-    /// rung-1 parity attempt runs first; its structural failure (see
-    /// [`Self::block_poison_repair`]) escalates into the same quarantine.
-    fn recover_block(
-        &self,
-        ctx: &mut CoreCtx<'_>,
-        kind: ChecksumKind,
-        block: usize,
-        poisoned: &[LineAddr],
-        stats: &mut RecoveryStats,
-        repair: bool,
-    ) {
-        let window = self.params.col_window;
-        let mut bad: Vec<usize> = Vec::new();
-        if (self.block_poisoned(poisoned, block)
-            && !(repair && self.block_poison_repair(ctx, kind, block, poisoned, stats)))
-            || self.block_rebuild_armed(ctx, block)
+    /// media flip in an older column. Block 0 recovers first: pivot rows
+    /// `0..col_window` live in it.
+    fn recover_block(&self, rec: &mut Recovery<'_>, block: usize) {
+        let (bsize, window) = (self.params.bsize, self.params.col_window);
+        // The column-0 slot holds the block's rebuild journal; the column-0
+        // replay commit restores its checksum.
+        let journal = self.key((0, block));
+        let poisoned = self.l.rows_poisoned(&rec.poisoned, block * bsize, bsize);
+        let bad: Vec<usize> = if (poisoned && !(rec.repairs() && self.poison_repair(rec, block)))
+            || rec.rebuild_armed(journal)
         {
             // Media fault inside the block: poison reads as a fixed
             // pattern a weak code can collide with, so no checksum verdict
             // is trusted — quarantine, zero every cell, replay everything.
-            // The journal is armed first so a nested crash mid-rebuild
-            // re-enters here even after the poison flag was scrubbed; the
-            // column-0 replay commit below restores the slot's checksum.
-            stats.regions_quarantined += 1;
-            self.arm_block_rebuild(ctx, block);
-            self.zero_block_full(ctx, block);
-            bad.extend(
-                (0..window).filter(|&j| !Self::region_rows(&self.params, j, block).is_empty()),
-            );
+            // A poisoned line may span cells no column replay rewrites
+            // (past the window, above the diagonal), and those must return
+            // to their golden zeros too.
+            rec.stats.regions_quarantined += 1;
+            rec.arm_rebuild(journal);
+            self.l.zero_rows(&mut rec.ctx, block * bsize, bsize);
+            (0..window).collect()
         } else {
-            let mut rung1_failed = false;
-            for j in 0..window {
-                if Self::region_rows(&self.params, j, block).is_empty() {
-                    continue;
-                }
-                stats.regions_checked += 1;
-                let folded = self.fold_region(ctx, kind, j, block);
-                if !self.handles.table.matches(ctx, self.key(j, block), folded) {
-                    stats.regions_inconsistent += 1;
-                    if repair {
-                        // Rung 1 for a silent mismatch. Same geometry
-                        // verdict as the poison path: no single-line
-                        // substitution is fully owned by a one-column
-                        // region, so this fails and the column escalates
-                        // to recompute.
-                        if lp_core::parity::try_mismatch_repair(
-                            ctx,
-                            &self.handles.table,
-                            &self.handles.parity,
-                            self.key(j, block),
-                            kind,
-                            self.l.array(),
-                            &self.region_indices(j, block),
-                        ) {
-                            stats.repaired_lines += 1;
-                            continue;
-                        }
-                        stats.repair_failures += 1;
-                        rung1_failed = true;
-                    }
-                    bad.push(j);
-                }
-            }
-            if rung1_failed {
-                stats.escalations += 1;
+            let mut failed = false;
+            let bad: Vec<usize> = (0..window)
+                .filter(|&j| !rec.audit(self.key((j, block)), &self.slots(j, block), &mut failed))
+                .collect();
+            if failed {
+                rec.stats.escalations += 1;
             }
             if bad.len() == window {
                 // Nothing committed: restore the pre-run zeros first so
                 // replay starts from the block's initial durable state.
-                self.zero_block(ctx, block);
+                self.zero_block(&mut rec.ctx, block);
+            }
+            bad
+        };
+        for j in bad {
+            self.recompute(rec, (j, block));
+        }
+    }
+
+    /// EP/WAL recovery, conservative and marker-free: zero everything and
+    /// replay column by column from the preserved input, undoing any open
+    /// WAL transaction first.
+    fn recover_replay(&self, rec: &mut Recovery<'_>) {
+        let (bsize, nblocks) = (self.params.bsize, self.params.nblocks());
+        // Arm the rebuild journal for every poisoned block before the WAL
+        // undo (or the zeroing below) can partially overwrite a poisoned
+        // line: an eviction of such a line scrubs the poison flag while
+        // leaving pattern residue in cells no column replay rewrites.
+        for block in 0..nblocks {
+            if self.l.rows_poisoned(&rec.poisoned, block * bsize, bsize) {
+                rec.arm_rebuild(self.key((0, block)));
             }
         }
-        for &j in &bad {
-            let mut sink = if repair {
-                RecoverySink::with_parity(kind, self.handles.parity)
+        rec.wal_recover(0..self.params.threads);
+        for block in 0..nblocks {
+            // Armed blocks need all cells restored; the column-0 replay
+            // commit clears the journal.
+            if rec.rebuild_armed(self.key((0, block))) {
+                rec.stats.regions_quarantined += 1;
+                self.l.zero_rows(&mut rec.ctx, block * bsize, bsize);
             } else {
-                RecoverySink::new(kind)
-            };
-            self.region_body(ctx, j, block, &mut sink);
-            sink.commit(ctx, &self.handles.table, self.key(j, block));
-            stats.recomputed_regions += 1;
-        }
-    }
-
-    /// Post-crash recovery, dispatched by scheme.
-    pub fn recover(&self, machine: &mut Machine) -> RecoveryStats {
-        match self.scheme {
-            Scheme::Base => RecoveryStats::default(),
-            Scheme::Lazy(kind) | Scheme::LazyEagerCk(kind) | Scheme::LazyParity(kind) => {
-                let repair = matches!(self.scheme, Scheme::LazyParity(_));
-                let mut stats = RecoveryStats::default();
-                let poisoned = machine.mem().poisoned_lines();
-                let mut ctx = machine.ctx(0);
-                let start = ctx.now();
-                for block in 0..self.params.nblocks() {
-                    self.recover_block(&mut ctx, kind, block, &poisoned, &mut stats, repair);
-                }
-                stats.cycles = ctx.now() - start;
-                stats
-            }
-            Scheme::Eager | Scheme::Wal => {
-                // Conservative marker-free recovery: zero everything and
-                // replay column-by-column from the preserved input, undoing
-                // any open WAL transaction first.
-                let mut stats = RecoveryStats::default();
-                let poisoned = machine.mem().poisoned_lines();
-                let mut ctx = machine.ctx(0);
-                let start = ctx.now();
-                // Arm the rebuild journal for every poisoned block before
-                // the WAL undo (or the zeroing below) can partially
-                // overwrite a poisoned line: an eviction of such a line
-                // scrubs the poison flag while leaving pattern residue in
-                // cells no column replay rewrites, so a nested crash must
-                // find the durable marker instead of the vanished poison.
-                for block in 0..self.params.nblocks() {
-                    if self.block_poisoned(&poisoned, block) {
-                        self.arm_block_rebuild(&mut ctx, block);
-                    }
-                }
-                for t in 0..self.params.threads {
-                    let tp = self.handles.thread(t);
-                    if tp.wal_recover(&mut ctx) > 0 {
-                        stats.regions_inconsistent += 1;
-                    }
-                }
-                for block in 0..self.params.nblocks() {
-                    // Armed blocks need all cells restored (a poisoned
-                    // line can span cells no column replay rewrites). The
-                    // column-0 replay commit clears the marker.
-                    if self.block_rebuild_armed(&mut ctx, block) {
-                        stats.regions_quarantined += 1;
-                        self.zero_block_full(&mut ctx, block);
-                    } else {
-                        self.zero_block(&mut ctx, block);
-                    }
-                }
-                for j in 0..self.params.col_window {
-                    for block in 0..self.params.nblocks() {
-                        if Self::region_rows(&self.params, j, block).is_empty() {
-                            continue;
-                        }
-                        stats.regions_checked += 1;
-                        let mut sink = crate::common::RecoverySink::new(ChecksumKind::Modular);
-                        self.region_body(&mut ctx, j, block, &mut sink);
-                        // Reuse the recovery sink purely for its eager
-                        // commit; the checksum store is harmless here.
-                        sink.commit(&mut ctx, &self.handles.table, self.key(j, block));
-                        stats.recomputed_regions += 1;
-                    }
-                }
-                stats.cycles = ctx.now() - start;
-                stats
+                self.zero_block(&mut rec.ctx, block);
             }
         }
-    }
-}
-
-/// Convenience driver mirroring [`crate::tmm::run`].
-pub fn run(cfg: &MachineConfig, params: CholeskyParams, scheme: Scheme) -> KernelRun {
-    let cfg = cfg.clone().with_cores(params.threads);
-    let mut machine = Machine::new(cfg);
-    let chol = Cholesky::setup(&mut machine, params, scheme).expect("cholesky setup");
-    let outcome = machine.run(chol.plans());
-    let stats = machine.stats();
-    machine.drain_caches();
-    let verified = outcome == Outcome::Completed && chol.verify(&machine);
-    KernelRun {
-        stats,
-        outcome,
-        verified,
+        for j in 0..self.params.col_window {
+            for block in 0..nblocks {
+                rec.stats.regions_checked += 1;
+                self.recompute(rec, (j, block));
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::run;
+    use lp_sim::config::MachineConfig;
+    use lp_sim::machine::Outcome;
     use lp_sim::prelude::CrashTrigger;
 
     fn cfg() -> MachineConfig {
@@ -713,7 +506,7 @@ mod tests {
             Scheme::Eager,
             Scheme::Wal,
         ] {
-            let r = run(&cfg(), CholeskyParams::test_small(), scheme);
+            let r = run::<Cholesky>(&cfg(), CholeskyParams::test_small(), scheme);
             assert_eq!(r.outcome, Outcome::Completed, "{scheme}");
             assert!(r.verified, "{scheme}");
         }

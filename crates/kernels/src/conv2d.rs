@@ -5,17 +5,15 @@
 //! III-E: output depends only on the read-only input), so recovery is the
 //! trivial case — mismatching blocks are simply recomputed, in any order.
 
-use crate::common::{
-    random_values, round_robin_blocks, EagerOnlySink, KernelRun, PMatrix, RecoverySink, SchemeSink,
-    StoreSink, IDX_OPS, MUL_ADD_OPS,
-};
-use lp_core::checksum::ChecksumKind;
-use lp_core::recovery::RecoveryStats;
+use crate::common::{random_values, round_robin_blocks, PMatrix, IDX_OPS, MUL_ADD_OPS};
+use crate::driver::Scale;
+use crate::kernel::{newest_first, Kernel, Region, Step};
+use lp_core::recovery::{Recovery, StoreSink};
 use lp_core::scheme::{Scheme, SchemeHandles};
+use lp_core::track::{RangeRole, TrackedRange};
 use lp_sim::addr::LineAddr;
-use lp_sim::config::MachineConfig;
 use lp_sim::core::CoreCtx;
-use lp_sim::machine::{Machine, Outcome, ThreadPlan};
+use lp_sim::machine::Machine;
 
 /// Problem and windowing parameters for one convolution run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,17 +131,23 @@ pub struct Conv2d {
     weights: [f64; 9],
 }
 
-impl Conv2d {
-    /// Allocate and initialize on `machine`.
-    ///
-    /// # Errors
-    ///
-    /// Returns allocation or validation failures as strings.
-    pub fn setup(
-        machine: &mut Machine,
-        params: Conv2dParams,
-        scheme: Scheme,
-    ) -> Result<Self, String> {
+impl Kernel for Conv2d {
+    type Params = Conv2dParams;
+
+    fn params(scale: Scale) -> Conv2dParams {
+        scale.pick([
+            Conv2dParams::micro,
+            Conv2dParams::test_small,
+            Conv2dParams::bench_default,
+            Conv2dParams::paper_default,
+        ])
+    }
+
+    fn threads(params: &Conv2dParams) -> usize {
+        params.threads
+    }
+
+    fn setup(machine: &mut Machine, params: Conv2dParams, scheme: Scheme) -> Result<Self, String> {
         params.validate()?;
         let n = params.n;
         let input = PMatrix::alloc(machine, n + 2, n + 2).map_err(|e| e.to_string())?;
@@ -168,13 +172,26 @@ impl Conv2d {
         })
     }
 
-    /// Round-robin block ownership.
-    pub fn ownership(&self) -> Vec<Vec<usize>> {
-        round_robin_blocks(self.params.window(), self.params.threads)
+    fn handles(&self) -> &SchemeHandles {
+        &self.handles
     }
 
-    /// One region: convolve rows `[block·bsize, (block+1)·bsize)`.
-    fn region_body<S: StoreSink>(&self, ctx: &mut CoreCtx<'_>, block: usize, sink: &mut S) {
+    /// One region per owned block; blocks are independent, so no
+    /// barriers.
+    fn schedule(&self) -> Vec<Vec<Step>> {
+        self.ownership()
+            .into_iter()
+            .map(|owned| owned.into_iter().map(|b| Step::Region((0, b))).collect())
+            .collect()
+    }
+
+    /// Key of block `block`'s (only) region.
+    fn key(&self, (_, block): Region) -> usize {
+        block
+    }
+
+    /// Convolve rows `[block·bsize, (block+1)·bsize)`.
+    fn body<S: StoreSink>(&self, ctx: &mut CoreCtx<'_>, (_, block): Region, sink: &mut S) {
         let (n, bsize) = (self.params.n, self.params.bsize);
         let w = self.weights;
         for i in block * bsize..(block + 1) * bsize {
@@ -193,10 +210,7 @@ impl Conv2d {
         }
     }
 
-    /// Per-thread schedules: one region per owned block.
-    /// Persistent address ranges for the `lp-check` sanitizer.
-    pub fn tracked_ranges(&self) -> Vec<lp_core::track::TrackedRange> {
-        use lp_core::track::{RangeRole, TrackedRange};
+    fn tracked_ranges(&self) -> Vec<TrackedRange> {
         let mut out = vec![
             TrackedRange::of("conv2d.out", self.output.array(), RangeRole::Protected),
             TrackedRange::of("conv2d.in", self.input.array(), RangeRole::Scratch),
@@ -205,24 +219,34 @@ impl Conv2d {
         out
     }
 
-    /// Build the scheduled per-core work plans for one run.
-    pub fn plans(&self) -> Vec<ThreadPlan<'static>> {
-        let mut plans: Vec<ThreadPlan<'static>> = (0..self.params.threads)
-            .map(|_| ThreadPlan::new())
-            .collect();
-        for (t, owned) in self.ownership().into_iter().enumerate() {
-            let tp = self.handles.thread(t);
-            for block in owned {
-                let this = self.clone();
-                plans[t].region(move |ctx| {
-                    let mut rs = tp.begin(ctx, block);
-                    let mut sink = SchemeSink { tp, rs: &mut rs };
-                    this.region_body(ctx, block, &mut sink);
-                    tp.commit(ctx, rs);
-                });
-            }
+    fn verify(&self, machine: &Machine) -> bool {
+        crate::common::values_match(&self.output.peek_all(machine), &Self::golden(&self.params))
+    }
+
+    /// The data-span lines of the output rows inside the simulated window
+    /// (only those are ever recomputed). Lazy recovery audits every window
+    /// block, so a flip in any of them either fails its checksum or lands
+    /// in a block that is recomputed anyway: the flip targets are the same
+    /// set.
+    fn repairable_lines(&self) -> Vec<LineAddr> {
+        self.output
+            .data_lines(0..self.params.window() * self.params.bsize)
+    }
+
+    fn recover(&self, rec: &mut Recovery<'_>) {
+        match self.scheme {
+            Scheme::Eager | Scheme::Wal => self.recover_marker_based(rec),
+            _ => self.recover_lazy(rec),
         }
-        plans
+    }
+}
+
+crate::kernel::inherent_kernel_api!(Conv2d);
+
+impl Conv2d {
+    /// Round-robin block ownership.
+    pub fn ownership(&self) -> Vec<Vec<usize>> {
+        round_robin_blocks(self.params.window(), self.params.threads)
     }
 
     /// Host golden for the simulated window.
@@ -245,191 +269,47 @@ impl Conv2d {
         out
     }
 
-    /// Whether the durable output matches the golden reference.
-    pub fn verify(&self, machine: &Machine) -> bool {
-        crate::common::values_match(&self.output.peek_all(machine), &Self::golden(&self.params))
-    }
-
-    /// Lines of the protected output that recovery provably rebuilds —
-    /// the fault campaign's media-fault target set. Only rows inside the
-    /// simulated window are ever recomputed, so only their data-span
-    /// lines are repairable.
-    pub fn repairable_lines(&self) -> Vec<LineAddr> {
-        let n = self.params.n;
-        let rows = self.params.window() * self.params.bsize;
-        let mut lines: Vec<LineAddr> = (0..rows)
-            .flat_map(|i| self.output.array().lines_of_range(self.output.idx(i, 0), n))
-            .collect();
-        lines.sort_unstable();
-        lines.dedup();
-        lines
-    }
-
-    /// Lines a silent bit flip may target under Lazy schemes: same set as
-    /// [`Self::repairable_lines`]. Lazy recovery audits every window
-    /// block, so a flip in any block either fails its checksum or lands
-    /// in a block that is recomputed anyway.
-    pub fn flip_lines(&self) -> Vec<LineAddr> {
-        self.repairable_lines()
-    }
-
     /// Whether any line of `block`'s output rows is poisoned.
-    fn block_poisoned(&self, poisoned: &[LineAddr], block: usize) -> bool {
-        let (n, bsize) = (self.params.n, self.params.bsize);
-        (block * bsize..(block + 1) * bsize).any(|i| {
-            lp_core::recovery::range_poisoned(
-                poisoned,
-                self.output.array(),
-                self.output.idx(i, 0),
-                n,
-            )
-        })
+    fn block_poisoned(&self, rec: &Recovery<'_>, block: usize) -> bool {
+        let bsize = self.params.bsize;
+        self.output
+            .rows_poisoned(&rec.poisoned, block * bsize, bsize)
     }
 
-    /// Post-crash recovery (idempotent regions: recompute what mismatches).
-    pub fn recover(&self, machine: &mut Machine) -> RecoveryStats {
-        match self.scheme {
-            Scheme::Base => RecoveryStats::default(),
-            Scheme::Lazy(kind) | Scheme::LazyEagerCk(kind) => {
-                self.recover_lazy(machine, kind, false)
-            }
-            Scheme::LazyParity(kind) => self.recover_lazy(machine, kind, true),
-            Scheme::Eager | Scheme::Wal => self.recover_marker_based(machine),
-        }
-    }
-
-    /// The element indices of `block`'s region in checksum fold order.
-    fn region_indices(&self, block: usize) -> Vec<usize> {
-        let (n, bsize) = (self.params.n, self.params.bsize);
-        (block * bsize..(block + 1) * bsize)
-            .flat_map(|i| (0..n).map(move |j| self.output.idx(i, j)))
-            .collect()
-    }
-
-    fn recover_lazy(
-        &self,
-        machine: &mut Machine,
-        kind: ChecksumKind,
-        repair: bool,
-    ) -> RecoveryStats {
-        let mut stats = RecoveryStats::default();
-        let poisoned = machine.mem().poisoned_lines();
-        let (n, bsize) = (self.params.n, self.params.bsize);
-        let mut ctx = machine.ctx(0);
-        let start = ctx.now();
+    /// Idempotent regions: recompute what mismatches. A poisoned block is
+    /// never trusted — poison reads as a fixed pattern that a weak code
+    /// can collide with — unless rung 1 reconstructs its lost line; a
+    /// quarantined block still counts as checked.
+    fn recover_lazy(&self, rec: &mut Recovery<'_>) {
+        let bsize = self.params.bsize;
         for block in 0..self.params.window() {
-            stats.regions_checked += 1;
-            let mut rung1_failed = false;
-            // A poisoned block is never trusted — poison reads as a fixed
-            // pattern that a weak code can collide with. Under `LazyParity`
-            // rung 1 reconstructs a single lost line from the block's
-            // parity and re-verifies before anything is written back;
-            // otherwise (or when reconstruction fails) the block is
-            // quarantined and recomputed unconditionally.
-            if self.block_poisoned(&poisoned, block) {
-                let repaired = repair
-                    && match lp_core::parity::try_poison_repair(
-                        &mut ctx,
-                        &self.handles.table,
-                        &self.handles.parity,
-                        block,
-                        kind,
-                        self.output.array(),
-                        &self.region_indices(block),
-                        &poisoned,
-                    ) {
-                        lp_core::parity::RepairVerdict::Repaired => {
-                            stats.repaired_lines += 1;
-                            true
-                        }
-                        lp_core::parity::RepairVerdict::Failed => {
-                            stats.repair_failures += 1;
-                            false
-                        }
-                        lp_core::parity::RepairVerdict::Clean => false,
-                    };
-                if !repaired {
-                    if repair {
-                        stats.escalations += 1;
-                    }
-                    stats.regions_quarantined += 1;
-                    let mut sink = if repair {
-                        RecoverySink::with_parity(kind, self.handles.parity)
-                    } else {
-                        RecoverySink::new(kind)
-                    };
-                    self.region_body(&mut ctx, block, &mut sink);
-                    sink.commit(&mut ctx, &self.handles.table, block);
-                    stats.recomputed_regions += 1;
-                    continue;
-                }
-            }
-            {
-                let out = self.output;
-                let indices = (block * bsize..(block + 1) * bsize)
-                    .flat_map(move |i| (0..n).map(move |j| out.idx(i, j)));
-                let consistent = lp_core::recovery::region_consistent(
-                    &mut ctx,
-                    &self.handles.table,
-                    block,
-                    kind,
-                    self.output.array(),
-                    indices,
-                );
-                if consistent {
-                    continue;
-                }
-                stats.regions_inconsistent += 1;
-                if repair {
-                    // Rung 1 for a silent mismatch: one flipped line is
-                    // reconstructible from the block's parity.
-                    if lp_core::parity::try_mismatch_repair(
-                        &mut ctx,
-                        &self.handles.table,
-                        &self.handles.parity,
-                        block,
-                        kind,
-                        self.output.array(),
-                        &self.region_indices(block),
-                    ) {
-                        stats.repaired_lines += 1;
-                        continue;
-                    }
-                    stats.repair_failures += 1;
-                    rung1_failed = true;
-                }
-            }
-            if rung1_failed {
-                stats.escalations += 1;
-            }
-            let mut sink = if repair {
-                RecoverySink::with_parity(kind, self.handles.parity)
-            } else {
-                RecoverySink::new(kind)
+            let poisoned = self.block_poisoned(rec, block);
+            let slots = |_| {
+                self.output
+                    .slots(block * bsize..(block + 1) * bsize, 0..self.params.n)
             };
-            self.region_body(&mut ctx, block, &mut sink);
-            sink.commit(&mut ctx, &self.handles.table, block);
-            stats.recomputed_regions += 1;
+            match newest_first(self, rec, block, &[0], poisoned, slots) {
+                None => {
+                    rec.stats.regions_checked += 1;
+                    rec.stats.regions_quarantined += 1;
+                    self.recompute(rec, (0, block));
+                }
+                Some(0) => self.recompute(rec, (0, block)),
+                Some(_) => {}
+            }
         }
-        stats.cycles = ctx.now() - start;
-        stats
     }
 
     /// EP/WAL recovery: undo any open transaction, then re-run every block
     /// past each thread's marker (idempotent, so partial work is harmless).
-    fn recover_marker_based(&self, machine: &mut Machine) -> RecoveryStats {
-        let mut stats = RecoveryStats::default();
-        let poisoned = machine.mem().poisoned_lines();
-        let owners = self.ownership();
-        let mut ctx = machine.ctx(0);
-        let start = ctx.now();
-        for (t, owned) in owners.iter().enumerate() {
+    fn recover_marker_based(&self, rec: &mut Recovery<'_>) {
+        for (t, owned) in self.ownership().iter().enumerate() {
             let tp = self.handles.thread(t);
-            tp.wal_recover(&mut ctx);
+            tp.wal_recover(&mut rec.ctx);
             // Read the marker only after the rollback: a WAL commit logs
             // the marker's undo pair, so undoing an interrupted
             // transaction rewinds the marker with it (no-op under EP).
-            let marker = tp.marker(&mut ctx);
+            let marker = tp.marker(&mut rec.ctx);
             let completed = if marker == 0 {
                 0
             } else {
@@ -438,52 +318,30 @@ impl Conv2d {
                     .position(|&b| b == (marker - 1) as usize)
                     .map_or(0, |p| p + 1)
             };
-            stats.regions_checked += owned.len() as u64;
+            rec.stats.regions_checked += owned.len() as u64;
             // Committed blocks hit by a media fault are recomputed too:
             // the marker vouches for progress, not for the medium. Blocks
             // are idempotent, so a plain eager re-run (no marker motion)
             // is safe to interrupt and repeat at any crash point.
             for &block in &owned[..completed] {
-                if self.block_poisoned(&poisoned, block) {
-                    stats.regions_quarantined += 1;
-                    let mut sink = EagerOnlySink::default();
-                    self.region_body(&mut ctx, block, &mut sink);
-                    sink.commit(&mut ctx);
-                    stats.recomputed_regions += 1;
+                if self.block_poisoned(rec, block) {
+                    rec.stats.regions_quarantined += 1;
+                    self.rebuild(rec, [(0, block)]);
                 }
             }
             for &block in &owned[completed..] {
-                let mut rs = tp.begin(&mut ctx, block);
-                let mut sink = SchemeSink { tp, rs: &mut rs };
-                self.region_body(&mut ctx, block, &mut sink);
-                tp.commit(&mut ctx, rs);
-                stats.recomputed_regions += 1;
+                self.rerun(rec, t, (0, block));
             }
         }
-        stats.cycles = ctx.now() - start;
-        stats
-    }
-}
-
-/// Convenience driver mirroring [`crate::tmm::run`].
-pub fn run(cfg: &MachineConfig, params: Conv2dParams, scheme: Scheme) -> KernelRun {
-    let cfg = cfg.clone().with_cores(params.threads);
-    let mut machine = Machine::new(cfg);
-    let conv = Conv2d::setup(&mut machine, params, scheme).expect("conv2d setup");
-    let outcome = machine.run(conv.plans());
-    let stats = machine.stats();
-    machine.drain_caches();
-    let verified = outcome == Outcome::Completed && conv.verify(&machine);
-    KernelRun {
-        stats,
-        outcome,
-        verified,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::run;
+    use lp_sim::config::MachineConfig;
+    use lp_sim::machine::Outcome;
     use lp_sim::prelude::CrashTrigger;
 
     fn cfg() -> MachineConfig {
@@ -499,7 +357,7 @@ mod tests {
             Scheme::Eager,
             Scheme::Wal,
         ] {
-            let r = run(&cfg(), Conv2dParams::test_small(), scheme);
+            let r = run::<Conv2d>(&cfg(), Conv2dParams::test_small(), scheme);
             assert_eq!(r.outcome, Outcome::Completed, "{scheme}");
             assert!(r.verified, "{scheme}");
         }
@@ -528,9 +386,9 @@ mod tests {
 
     #[test]
     fn lp_overhead_is_small() {
-        let base = run(&cfg(), Conv2dParams::test_small(), Scheme::Base);
-        let lp = run(&cfg(), Conv2dParams::test_small(), Scheme::lazy_default());
-        let ep = run(&cfg(), Conv2dParams::test_small(), Scheme::Eager);
+        let base = run::<Conv2d>(&cfg(), Conv2dParams::test_small(), Scheme::Base);
+        let lp = run::<Conv2d>(&cfg(), Conv2dParams::test_small(), Scheme::lazy_default());
+        let ep = run::<Conv2d>(&cfg(), Conv2dParams::test_small(), Scheme::Eager);
         assert!(lp.cycles() as f64 / (base.cycles() as f64) < 1.25);
         assert!(ep.cycles() > lp.cycles());
     }
@@ -576,7 +434,7 @@ mod tests {
     fn windowing_limits_computed_rows() {
         let mut params = Conv2dParams::test_small();
         params.block_window = 1;
-        let r = run(&cfg(), params, Scheme::Base);
+        let r = run::<Conv2d>(&cfg(), params, Scheme::Base);
         assert!(r.verified);
         // Golden for a 1-block window has zeros past the first block.
         let g = Conv2d::golden(&params);

@@ -1,12 +1,18 @@
 //! Uniform dispatch over the five simulated kernels, for the experiment
 //! harness and cross-kernel figures (Figures 12 and 13).
 
+use crate::cholesky::Cholesky;
 use crate::common::KernelRun;
+use crate::conv2d::Conv2d;
+use crate::fft::Fft;
+use crate::gauss::Gauss;
+use crate::kernel::Kernel;
+use crate::tmm::Tmm;
 use lp_core::scheme::Scheme;
 use lp_core::track::TrackedRange;
 use lp_sim::addr::LineAddr;
 use lp_sim::config::MachineConfig;
-use lp_sim::machine::{Machine, ThreadPlan};
+use lp_sim::machine::{Machine, Outcome, ThreadPlan};
 
 /// Which simulated kernel to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,6 +72,14 @@ pub enum Scale {
     Paper,
 }
 
+impl Scale {
+    /// This scale's entry of a kernel's `[micro, test, bench, paper]`
+    /// parameter constructors.
+    pub fn pick<P>(self, params: [fn() -> P; 4]) -> P {
+        params[self as usize]()
+    }
+}
+
 /// A kernel set up but not yet run, with everything an external tool (the
 /// `lp-check` sanitizer) needs to drive and audit the run itself: the
 /// configured machine, the scheduled plans, the tracked address ranges,
@@ -105,6 +119,61 @@ impl std::fmt::Debug for PreparedKernel {
     }
 }
 
+impl PreparedKernel {
+    /// Run the plans to completion (or crash), snapshot the statistics
+    /// *before* the end-of-run drain (the paper's in-window methodology),
+    /// drain, and verify.
+    pub fn run(mut self) -> KernelRun {
+        let plans = std::mem::take(&mut self.plans);
+        let outcome = self.machine.run(plans);
+        let stats = self.machine.stats();
+        self.machine.drain_caches();
+        let verified = outcome == Outcome::Completed && (self.verify)(&self.machine);
+        KernelRun {
+            stats,
+            outcome,
+            verified,
+        }
+    }
+}
+
+/// Set up kernel `K` with `params` under `scheme` on a machine configured
+/// by `cfg` (core count overridden by the kernel's thread count), without
+/// running it.
+///
+/// # Panics
+///
+/// Panics if kernel setup fails (e.g. the configured NVMM is too small).
+pub fn prepare<K: Kernel>(
+    params: K::Params,
+    cfg: &MachineConfig,
+    scheme: Scheme,
+) -> PreparedKernel {
+    let mut machine = Machine::new(cfg.clone().with_cores(K::threads(&params)));
+    let k = K::setup(&mut machine, params, scheme).expect("kernel setup");
+    let k2 = k.clone();
+    PreparedKernel {
+        plans: crate::kernel::plans(&k),
+        ranges: k.tracked_ranges(),
+        flip_lines: k.flip_lines(),
+        poison_lines: k.repairable_lines(),
+        machine,
+        scheme,
+        verify: Box::new(move |m| k.verify(m)),
+        recover: Box::new(move |m| crate::kernel::recover(&k2, m)),
+    }
+}
+
+/// Build a machine, run kernel `K`'s window with `params` under `scheme`,
+/// and verify against the golden reference (see [`PreparedKernel::run`]).
+///
+/// # Panics
+///
+/// Panics if kernel setup fails.
+pub fn run<K: Kernel>(cfg: &MachineConfig, params: K::Params, scheme: Scheme) -> KernelRun {
+    prepare::<K>(params, cfg, scheme).run()
+}
+
 /// Set up `kernel` under `scheme` at `scale` without running it, so the
 /// caller can install an observer before driving the machine.
 ///
@@ -118,123 +187,11 @@ pub fn prepare_kernel(
     scheme: Scheme,
 ) -> PreparedKernel {
     match kernel {
-        KernelId::Tmm => {
-            let params = match scale {
-                Scale::Micro => crate::tmm::TmmParams::micro(),
-                Scale::Test => crate::tmm::TmmParams::test_small(),
-                Scale::Bench => crate::tmm::TmmParams::bench_default(),
-                Scale::Paper => crate::tmm::TmmParams::paper_default(),
-            };
-            let mut machine = Machine::new(cfg.clone().with_cores(params.threads));
-            let k = crate::tmm::Tmm::setup(&mut machine, params, scheme).expect("tmm setup");
-            let (plans, ranges) = (k.plans(), k.tracked_ranges());
-            let (flip_lines, poison_lines) = (k.flip_lines(), k.repairable_lines());
-            let k2 = k.clone();
-            PreparedKernel {
-                machine,
-                plans,
-                ranges,
-                scheme,
-                verify: Box::new(move |m| k.verify(m)),
-                recover: Box::new(move |m| k2.recover(m)),
-                flip_lines,
-                poison_lines,
-            }
-        }
-        KernelId::Cholesky => {
-            let params = match scale {
-                Scale::Micro => crate::cholesky::CholeskyParams::micro(),
-                Scale::Test => crate::cholesky::CholeskyParams::test_small(),
-                Scale::Bench => crate::cholesky::CholeskyParams::bench_default(),
-                Scale::Paper => crate::cholesky::CholeskyParams::paper_default(),
-            };
-            let mut machine = Machine::new(cfg.clone().with_cores(params.threads));
-            let k = crate::cholesky::Cholesky::setup(&mut machine, params, scheme)
-                .expect("cholesky setup");
-            let (plans, ranges) = (k.plans(), k.tracked_ranges());
-            let (flip_lines, poison_lines) = (k.flip_lines(), k.repairable_lines());
-            let k2 = k.clone();
-            PreparedKernel {
-                machine,
-                plans,
-                ranges,
-                scheme,
-                verify: Box::new(move |m| k.verify(m)),
-                recover: Box::new(move |m| k2.recover(m)),
-                flip_lines,
-                poison_lines,
-            }
-        }
-        KernelId::Conv2d => {
-            let params = match scale {
-                Scale::Micro => crate::conv2d::Conv2dParams::micro(),
-                Scale::Test => crate::conv2d::Conv2dParams::test_small(),
-                Scale::Bench => crate::conv2d::Conv2dParams::bench_default(),
-                Scale::Paper => crate::conv2d::Conv2dParams::paper_default(),
-            };
-            let mut machine = Machine::new(cfg.clone().with_cores(params.threads));
-            let k =
-                crate::conv2d::Conv2d::setup(&mut machine, params, scheme).expect("conv2d setup");
-            let (plans, ranges) = (k.plans(), k.tracked_ranges());
-            let (flip_lines, poison_lines) = (k.flip_lines(), k.repairable_lines());
-            let k2 = k.clone();
-            PreparedKernel {
-                machine,
-                plans,
-                ranges,
-                scheme,
-                verify: Box::new(move |m| k.verify(m)),
-                recover: Box::new(move |m| k2.recover(m)),
-                flip_lines,
-                poison_lines,
-            }
-        }
-        KernelId::Gauss => {
-            let params = match scale {
-                Scale::Micro => crate::gauss::GaussParams::micro(),
-                Scale::Test => crate::gauss::GaussParams::test_small(),
-                Scale::Bench => crate::gauss::GaussParams::bench_default(),
-                Scale::Paper => crate::gauss::GaussParams::paper_default(),
-            };
-            let mut machine = Machine::new(cfg.clone().with_cores(params.threads));
-            let k = crate::gauss::Gauss::setup(&mut machine, params, scheme).expect("gauss setup");
-            let (plans, ranges) = (k.plans(), k.tracked_ranges());
-            let (flip_lines, poison_lines) = (k.flip_lines(), k.repairable_lines());
-            let k2 = k.clone();
-            PreparedKernel {
-                machine,
-                plans,
-                ranges,
-                scheme,
-                verify: Box::new(move |m| k.verify(m)),
-                recover: Box::new(move |m| k2.recover(m)),
-                flip_lines,
-                poison_lines,
-            }
-        }
-        KernelId::Fft => {
-            let params = match scale {
-                Scale::Micro => crate::fft::FftParams::micro(),
-                Scale::Test => crate::fft::FftParams::test_small(),
-                Scale::Bench => crate::fft::FftParams::bench_default(),
-                Scale::Paper => crate::fft::FftParams::paper_default(),
-            };
-            let mut machine = Machine::new(cfg.clone().with_cores(params.threads));
-            let k = crate::fft::Fft::setup(&mut machine, params, scheme).expect("fft setup");
-            let (plans, ranges) = (k.plans(), k.tracked_ranges());
-            let (flip_lines, poison_lines) = (k.flip_lines(), k.repairable_lines());
-            let k2 = k.clone();
-            PreparedKernel {
-                machine,
-                plans,
-                ranges,
-                scheme,
-                verify: Box::new(move |m| k.verify(m)),
-                recover: Box::new(move |m| k2.recover(m)),
-                flip_lines,
-                poison_lines,
-            }
-        }
+        KernelId::Tmm => prepare::<Tmm>(Tmm::params(scale), cfg, scheme),
+        KernelId::Cholesky => prepare::<Cholesky>(Cholesky::params(scale), cfg, scheme),
+        KernelId::Conv2d => prepare::<Conv2d>(Conv2d::params(scale), cfg, scheme),
+        KernelId::Gauss => prepare::<Gauss>(Gauss::params(scale), cfg, scheme),
+        KernelId::Fft => prepare::<Fft>(Fft::params(scale), cfg, scheme),
     }
 }
 
@@ -246,72 +203,7 @@ pub fn run_kernel(
     cfg: &MachineConfig,
     scheme: Scheme,
 ) -> KernelRun {
-    match (kernel, scale) {
-        (KernelId::Tmm, Scale::Micro) => {
-            crate::tmm::run(cfg, crate::tmm::TmmParams::micro(), scheme)
-        }
-        (KernelId::Cholesky, Scale::Micro) => {
-            crate::cholesky::run(cfg, crate::cholesky::CholeskyParams::micro(), scheme)
-        }
-        (KernelId::Conv2d, Scale::Micro) => {
-            crate::conv2d::run(cfg, crate::conv2d::Conv2dParams::micro(), scheme)
-        }
-        (KernelId::Gauss, Scale::Micro) => {
-            crate::gauss::run(cfg, crate::gauss::GaussParams::micro(), scheme)
-        }
-        (KernelId::Fft, Scale::Micro) => {
-            crate::fft::run(cfg, crate::fft::FftParams::micro(), scheme)
-        }
-        (KernelId::Tmm, Scale::Test) => {
-            crate::tmm::run(cfg, crate::tmm::TmmParams::test_small(), scheme)
-        }
-        (KernelId::Tmm, Scale::Bench) => {
-            crate::tmm::run(cfg, crate::tmm::TmmParams::bench_default(), scheme)
-        }
-        (KernelId::Tmm, Scale::Paper) => {
-            crate::tmm::run(cfg, crate::tmm::TmmParams::paper_default(), scheme)
-        }
-        (KernelId::Cholesky, Scale::Paper) => crate::cholesky::run(
-            cfg,
-            crate::cholesky::CholeskyParams::paper_default(),
-            scheme,
-        ),
-        (KernelId::Conv2d, Scale::Paper) => {
-            crate::conv2d::run(cfg, crate::conv2d::Conv2dParams::paper_default(), scheme)
-        }
-        (KernelId::Gauss, Scale::Paper) => {
-            crate::gauss::run(cfg, crate::gauss::GaussParams::paper_default(), scheme)
-        }
-        (KernelId::Fft, Scale::Paper) => {
-            crate::fft::run(cfg, crate::fft::FftParams::paper_default(), scheme)
-        }
-        (KernelId::Cholesky, Scale::Test) => {
-            crate::cholesky::run(cfg, crate::cholesky::CholeskyParams::test_small(), scheme)
-        }
-        (KernelId::Cholesky, Scale::Bench) => crate::cholesky::run(
-            cfg,
-            crate::cholesky::CholeskyParams::bench_default(),
-            scheme,
-        ),
-        (KernelId::Conv2d, Scale::Test) => {
-            crate::conv2d::run(cfg, crate::conv2d::Conv2dParams::test_small(), scheme)
-        }
-        (KernelId::Conv2d, Scale::Bench) => {
-            crate::conv2d::run(cfg, crate::conv2d::Conv2dParams::bench_default(), scheme)
-        }
-        (KernelId::Gauss, Scale::Test) => {
-            crate::gauss::run(cfg, crate::gauss::GaussParams::test_small(), scheme)
-        }
-        (KernelId::Gauss, Scale::Bench) => {
-            crate::gauss::run(cfg, crate::gauss::GaussParams::bench_default(), scheme)
-        }
-        (KernelId::Fft, Scale::Test) => {
-            crate::fft::run(cfg, crate::fft::FftParams::test_small(), scheme)
-        }
-        (KernelId::Fft, Scale::Bench) => {
-            crate::fft::run(cfg, crate::fft::FftParams::bench_default(), scheme)
-        }
-    }
+    prepare_kernel(kernel, scale, cfg, scheme).run()
 }
 
 #[cfg(test)]

@@ -23,17 +23,16 @@
 //! (always possible). This is the honest consequence of in-place buffer
 //! reuse that Section III-E's associativity discussion anticipates.
 
-use crate::common::{
-    random_values, round_robin_blocks, KernelRun, RecoverySink, SchemeSink, StoreSink, IDX_OPS,
-    MUL_ADD_OPS,
-};
-use lp_core::checksum::ChecksumKind;
-use lp_core::recovery::{range_poisoned, recompute_checksum, RecoveryStats};
+use crate::common::{random_values, round_robin_blocks, IDX_OPS, MUL_ADD_OPS};
+use crate::driver::Scale;
+use crate::kernel::{phased, Kernel, Region, Step};
+use lp_core::parity::{RepairVerdict, Slot};
+use lp_core::recovery::{range_poisoned, recompute_checksum, Recovery, StoreSink};
 use lp_core::scheme::{Scheme, SchemeHandles};
+use lp_core::track::{RangeRole, TrackedRange};
 use lp_sim::addr::LineAddr;
-use lp_sim::config::MachineConfig;
 use lp_sim::core::CoreCtx;
-use lp_sim::machine::{Machine, Outcome, ThreadPlan};
+use lp_sim::machine::Machine;
 use lp_sim::mem::PArray;
 
 /// Modelled ALU ops for one twiddle-factor evaluation (a libm sin/cos
@@ -175,13 +174,23 @@ pub fn bit_reverse(i: usize, bits: usize) -> usize {
     out
 }
 
-impl Fft {
-    /// Allocate and initialize on `machine`.
-    ///
-    /// # Errors
-    ///
-    /// Returns allocation or validation failures as strings.
-    pub fn setup(machine: &mut Machine, params: FftParams, scheme: Scheme) -> Result<Self, String> {
+impl Kernel for Fft {
+    type Params = FftParams;
+
+    fn params(scale: Scale) -> FftParams {
+        scale.pick([
+            FftParams::micro,
+            FftParams::test_small,
+            FftParams::bench_default,
+            FftParams::paper_default,
+        ])
+    }
+
+    fn threads(params: &FftParams) -> usize {
+        params.threads
+    }
+
+    fn setup(machine: &mut Machine, params: FftParams, scheme: Scheme) -> Result<Self, String> {
         params.validate()?;
         let n = params.n;
         let alloc_buf = |machine: &mut Machine| -> Result<CBuf, String> {
@@ -215,30 +224,24 @@ impl Fft {
         })
     }
 
-    /// Checksum-table key of region `(stage, chunk)`.
-    pub fn key(&self, stage: usize, chunk: usize) -> usize {
+    fn handles(&self) -> &SchemeHandles {
+        &self.handles
+    }
+
+    /// Per stage, each thread's chunks, then a barrier (butterflies cross
+    /// chunk boundaries).
+    fn schedule(&self) -> Vec<Vec<Step>> {
+        phased(&self.ownership(), self.params.window(), |_| true)
+    }
+
+    /// Key of region `(stage, chunk)`.
+    fn key(&self, (stage, chunk): Region) -> usize {
         stage * self.params.chunks + chunk
     }
 
-    /// The buffer written by `stage`.
-    fn dst(&self, stage: usize) -> CBuf {
-        self.bufs[stage % 2]
-    }
-
-    /// Round-robin chunk ownership.
-    pub fn ownership(&self) -> Vec<Vec<usize>> {
-        round_robin_blocks(self.params.chunks, self.params.threads)
-    }
-
-    /// One region: compute the chunk's output elements for `stage`.
-    /// Stores go re-then-im per element, ascending index.
-    fn region_body<S: StoreSink>(
-        &self,
-        ctx: &mut CoreCtx<'_>,
-        stage: usize,
-        chunk: usize,
-        sink: &mut S,
-    ) {
+    /// Compute the chunk's output elements for `stage`. Stores go
+    /// re-then-im per element, ascending index.
+    fn body<S: StoreSink>(&self, ctx: &mut CoreCtx<'_>, (stage, chunk): Region, sink: &mut S) {
         let len = self.params.chunk_len();
         let dst = self.dst(stage);
         let range = chunk * len..(chunk + 1) * len;
@@ -259,7 +262,6 @@ impl Fft {
         let group = half * 2;
         for i in range {
             let pos = i & (group - 1);
-            let base = i - pos;
             let (s1, s2, sign, tpos) = if pos < half {
                 (i, i + half, 1.0, pos)
             } else {
@@ -278,18 +280,13 @@ impl Fft {
             ctx.compute(4 * MUL_ADD_OPS + IDX_OPS);
             sink.store(ctx, dst.re, i, ar + sign * tr);
             sink.store(ctx, dst.im, i, ai + sign * ti);
-            let _ = base;
         }
     }
 
-    /// Per-thread schedules: per stage, each thread's chunks, then a
-    /// barrier.
-    /// Persistent address ranges for the `lp-check` sanitizer. The two
-    /// ping-pong buffers are the protected data (regions write into
-    /// whichever is the current stage's destination); the input buffer is
-    /// read-only.
-    pub fn tracked_ranges(&self) -> Vec<lp_core::track::TrackedRange> {
-        use lp_core::track::{RangeRole, TrackedRange};
+    /// The two ping-pong buffers are the protected data (regions write
+    /// into whichever is the current stage's destination); the input
+    /// buffer is read-only.
+    fn tracked_ranges(&self) -> Vec<TrackedRange> {
         let mut out = vec![
             TrackedRange::of("fft.buf0.re", self.bufs[0].re, RangeRole::Protected),
             TrackedRange::of("fft.buf0.im", self.bufs[0].im, RangeRole::Protected),
@@ -302,31 +299,78 @@ impl Fft {
         out
     }
 
-    /// Build the scheduled per-core work plans for one run.
-    pub fn plans(&self) -> Vec<ThreadPlan<'static>> {
-        let owners = self.ownership();
-        let mut plans: Vec<ThreadPlan<'static>> = (0..self.params.threads)
-            .map(|_| ThreadPlan::new())
-            .collect();
-        for stage in 0..self.params.window() {
-            for (t, owned) in owners.iter().enumerate() {
-                let tp = self.handles.thread(t);
-                for &chunk in owned {
-                    let this = self.clone();
-                    plans[t].region(move |ctx| {
-                        let key = this.key(stage, chunk);
-                        let mut rs = tp.begin(ctx, key);
-                        let mut sink = SchemeSink { tp, rs: &mut rs };
-                        this.region_body(ctx, stage, chunk, &mut sink);
-                        tp.commit(ctx, rs);
-                    });
+    fn verify(&self, machine: &Machine) -> bool {
+        let (gre, gim) = Self::golden(&self.params);
+        let last = self.dst(self.params.window() - 1);
+        crate::common::values_match(&machine.peek_vec(last.re), &gre)
+            && crate::common::values_match(&machine.peek_vec(last.im), &gim)
+    }
+
+    /// The final stage's output buffer. Recovery quarantines every stage
+    /// whose destination holds a poisoned line and replays it from the
+    /// surviving stage (or from the preserved input), fully rewriting —
+    /// and thereby scrubbing — both arrays. Every line is also either
+    /// covered by the newest consistent stage's checksums (a flip is
+    /// detected by the scan) or rewritten by the replay that follows: the
+    /// flip targets are the same set.
+    fn repairable_lines(&self) -> Vec<LineAddr> {
+        let last = self.dst(self.params.window() - 1);
+        let mut lines: Vec<LineAddr> = last.re.lines().chain(last.im.lines()).collect();
+        lines.sort_unstable();
+        lines.dedup();
+        lines
+    }
+
+    /// Replay from the newest fully consistent stage (or from the
+    /// preserved input); under EP/WAL, undo any open transaction and
+    /// replay everything.
+    fn recover(&self, rec: &mut Recovery<'_>) {
+        let window = self.params.window();
+        if matches!(self.scheme, Scheme::Eager | Scheme::Wal) {
+            rec.wal_recover(0..self.params.threads);
+            // The full replay below rewrites every buffer line (and
+            // thereby scrubs any poison); just account for it.
+            for stage in 0..window {
+                if self.stage_poisoned(rec, stage) {
+                    rec.stats.regions_quarantined += 1;
                 }
             }
-            for plan in &mut plans {
-                plan.barrier();
-            }
+            return self.replay_from(rec, 0);
         }
-        plans
+        let mut resume = 0;
+        for stage in (0..window).rev() {
+            // A stage whose destination holds a poisoned line cannot be
+            // trusted regardless of its checksums: quarantine it and keep
+            // scanning, so the replay below fully rewrites it — unless
+            // (`LazyParity`) rung 1 repairs every affected chunk, in which
+            // case the stage rejoins the audit below on its own merits.
+            if self.stage_poisoned(rec, stage) && !(rec.repairs() && self.poison_repair(rec, stage))
+            {
+                rec.stats.regions_quarantined += 1;
+                continue;
+            }
+            rec.stats.regions_checked += self.params.chunks as u64;
+            if self.stage_consistent(rec, stage) {
+                resume = stage + 1;
+                break;
+            }
+            rec.stats.regions_inconsistent += 1;
+        }
+        self.replay_from(rec, resume);
+    }
+}
+
+crate::kernel::inherent_kernel_api!(Fft);
+
+impl Fft {
+    /// The buffer written by `stage`.
+    fn dst(&self, stage: usize) -> CBuf {
+        self.bufs[stage % 2]
+    }
+
+    /// Round-robin chunk ownership.
+    pub fn ownership(&self) -> Vec<Vec<usize>> {
+        round_robin_blocks(self.params.chunks, self.params.threads)
     }
 
     /// Host golden: replay the same stages natively. Returns
@@ -370,84 +414,70 @@ impl Fft {
         (bufs[last].0.clone(), bufs[last].1.clone())
     }
 
-    /// Whether the durable final buffer matches the golden reference.
-    pub fn verify(&self, machine: &Machine) -> bool {
-        let (gre, gim) = Self::golden(&self.params);
-        let last = self.dst(self.params.window() - 1);
-        crate::common::values_match(&machine.peek_vec(last.re), &gre)
-            && crate::common::values_match(&machine.peek_vec(last.im), &gim)
-    }
-
-    /// Lines a media fault may target: the final stage's output buffer.
-    /// Recovery quarantines every stage whose destination holds a
-    /// poisoned line and replays it from the surviving stage (or from
-    /// the preserved input), fully rewriting — and thereby scrubbing —
-    /// both arrays.
-    pub fn repairable_lines(&self) -> Vec<LineAddr> {
-        let last = self.dst(self.params.window() - 1);
-        let mut lines: Vec<LineAddr> = last.re.lines().chain(last.im.lines()).collect();
-        lines.sort_unstable();
-        lines.dedup();
-        lines
-    }
-
-    /// Lines a silent bit flip may target under Lazy schemes: same set as
-    /// [`Self::repairable_lines`]. Every line of the final buffer is
-    /// either covered by the newest consistent stage's checksums (flip
-    /// detected by the scan) or rewritten by the replay that follows.
-    pub fn flip_lines(&self) -> Vec<LineAddr> {
-        self.repairable_lines()
-    }
-
     /// Whether `stage`'s destination buffer holds any poisoned line.
-    fn stage_poisoned(&self, poisoned: &[LineAddr], stage: usize) -> bool {
+    fn stage_poisoned(&self, rec: &Recovery<'_>, stage: usize) -> bool {
         let dst = self.dst(stage);
-        range_poisoned(poisoned, dst.re, 0, self.params.n)
-            || range_poisoned(poisoned, dst.im, 0, self.params.n)
-    }
-
-    /// Fold region `(stage, chunk)`'s checksum from current data.
-    fn fold_region(
-        &self,
-        ctx: &mut CoreCtx<'_>,
-        kind: ChecksumKind,
-        stage: usize,
-        chunk: usize,
-    ) -> u64 {
-        let len = self.params.chunk_len();
-        let dst = self.dst(stage);
-        let mut values = Vec::with_capacity(2 * len);
-        for i in chunk * len..(chunk + 1) * len {
-            values.push(ctx.load(dst.re, i));
-            values.push(ctx.load(dst.im, i));
-            ctx.compute(2 * kind.cost_ops());
-        }
-        recompute_checksum(kind, |ck| {
-            for v in values {
-                ck.update(v.to_bits());
-            }
-        })
-    }
-
-    /// Whether every chunk of `stage` matches its stored checksum.
-    fn stage_consistent(&self, ctx: &mut CoreCtx<'_>, kind: ChecksumKind, stage: usize) -> bool {
-        (0..self.params.chunks).all(|chunk| {
-            let folded = self.fold_region(ctx, kind, stage, chunk);
-            self.handles
-                .table
-                .matches(ctx, self.key(stage, chunk), folded)
-        })
+        range_poisoned(&rec.poisoned, dst.re, 0, self.params.n)
+            || range_poisoned(&rec.poisoned, dst.im, 0, self.params.n)
     }
 
     /// The elements of region `(stage, chunk)` in checksum fold order —
     /// interleaved across the destination's `re`/`im` pair, exactly as
-    /// [`Self::fold_region`] and the forward stores walk them.
-    fn region_slots(&self, stage: usize, chunk: usize) -> Vec<lp_core::parity::Slot<f64>> {
+    /// the forward stores walk them.
+    fn slots(&self, stage: usize, chunk: usize) -> Vec<Slot<f64>> {
         let len = self.params.chunk_len();
         let dst = self.dst(stage);
         (chunk * len..(chunk + 1) * len)
             .flat_map(|i| [(dst.re, i), (dst.im, i)])
             .collect()
+    }
+
+    /// Whether region `(stage, chunk)` matches its stored checksum. The
+    /// fold charges compute once per re/im pair, so it is not
+    /// [`Recovery::consistent`]'s one charge per element.
+    fn chunk_consistent(&self, rec: &mut Recovery<'_>, stage: usize, chunk: usize) -> bool {
+        let (len, kind) = (self.params.chunk_len(), rec.kind());
+        let dst = self.dst(stage);
+        let mut values = Vec::with_capacity(2 * len);
+        for i in chunk * len..(chunk + 1) * len {
+            values.push(rec.ctx.load(dst.re, i));
+            values.push(rec.ctx.load(dst.im, i));
+            rec.ctx.compute(2 * kind.cost_ops());
+        }
+        let folded = recompute_checksum(kind, |ck| {
+            for v in values {
+                ck.update(v.to_bits());
+            }
+        });
+        self.handles
+            .table
+            .matches(&mut rec.ctx, self.key((stage, chunk)), folded)
+    }
+
+    /// Whether every chunk of `stage` holds its committed data. Under
+    /// `LazyParity` a chunk that fails its audit gets one rung-1 attempt,
+    /// and every chunk is examined so every repairable flip in the stage
+    /// is actually repaired; without parity the audit stops at the first
+    /// mismatch.
+    fn stage_consistent(&self, rec: &mut Recovery<'_>, stage: usize) -> bool {
+        let chunks = 0..self.params.chunks;
+        if !rec.repairs() {
+            return chunks
+                .into_iter()
+                .all(|c| self.chunk_consistent(rec, stage, c));
+        }
+        let mut ok = true;
+        for chunk in chunks {
+            if !self.chunk_consistent(rec, stage, chunk)
+                && !rec.mismatch_repair(self.key((stage, chunk)), &self.slots(stage, chunk))
+            {
+                ok = false;
+            }
+        }
+        if !ok {
+            rec.stats.escalations += 1;
+        }
+        ok
     }
 
     /// Rung 1 for a poisoned stage under `LazyParity`: attempt a parity
@@ -456,192 +486,37 @@ impl Fft {
     /// affected chunk repaired — the stage then rejoins the normal
     /// consistency audit; any failure records the escalation and the
     /// caller quarantines the stage for replay.
-    fn stage_poison_repair(
-        &self,
-        ctx: &mut CoreCtx<'_>,
-        kind: ChecksumKind,
-        stage: usize,
-        poisoned: &[LineAddr],
-        stats: &mut RecoveryStats,
-    ) -> bool {
+    fn poison_repair(&self, rec: &mut Recovery<'_>, stage: usize) -> bool {
         let mut all = true;
         for chunk in 0..self.params.chunks {
-            match lp_core::parity::try_poison_repair_slots(
-                ctx,
-                &self.handles.table,
-                &self.handles.parity,
-                self.key(stage, chunk),
-                kind,
-                &self.region_slots(stage, chunk),
-                poisoned,
-            ) {
-                lp_core::parity::RepairVerdict::Repaired => stats.repaired_lines += 1,
-                lp_core::parity::RepairVerdict::Clean => {}
-                lp_core::parity::RepairVerdict::Failed => {
-                    stats.repair_failures += 1;
-                    all = false;
-                }
+            let slots = self.slots(stage, chunk);
+            if rec.poison_repair(self.key((stage, chunk)), &slots) == RepairVerdict::Failed {
+                all = false;
             }
         }
         if !all {
-            stats.escalations += 1;
+            rec.stats.escalations += 1;
         }
         all
     }
 
-    /// [`Self::stage_consistent`] with the rung-1 mismatch repair spliced
-    /// in: a chunk that fails its audit gets one parity-reconstruction
-    /// attempt before the stage is declared inconsistent. Unlike the plain
-    /// audit this never short-circuits — every chunk is examined so every
-    /// repairable flip in the stage is actually repaired.
-    fn stage_repair_consistent(
-        &self,
-        ctx: &mut CoreCtx<'_>,
-        kind: ChecksumKind,
-        stage: usize,
-        stats: &mut RecoveryStats,
-    ) -> bool {
-        let mut ok = true;
-        for chunk in 0..self.params.chunks {
-            let folded = self.fold_region(ctx, kind, stage, chunk);
-            if self
-                .handles
-                .table
-                .matches(ctx, self.key(stage, chunk), folded)
-            {
-                continue;
-            }
-            if lp_core::parity::try_mismatch_repair_slots(
-                ctx,
-                &self.handles.table,
-                &self.handles.parity,
-                self.key(stage, chunk),
-                kind,
-                &self.region_slots(stage, chunk),
-            ) {
-                stats.repaired_lines += 1;
-            } else {
-                stats.repair_failures += 1;
-                ok = false;
-            }
-        }
-        if !ok {
-            stats.escalations += 1;
-        }
-        ok
-    }
-
-    /// Post-crash recovery: replay from the newest fully consistent stage
-    /// (or from the preserved input).
-    pub fn recover(&self, machine: &mut Machine) -> RecoveryStats {
-        let (kind, repair) = match self.scheme {
-            Scheme::Base => return RecoveryStats::default(),
-            Scheme::Lazy(kind) | Scheme::LazyEagerCk(kind) => (kind, false),
-            Scheme::LazyParity(kind) => (kind, true),
-            // EP/WAL: undo any open tx, then full eager replay from input.
-            Scheme::Eager | Scheme::Wal => {
-                let mut stats = RecoveryStats::default();
-                let poisoned = machine.mem().poisoned_lines();
-                let mut ctx = machine.ctx(0);
-                let start = ctx.now();
-                for t in 0..self.params.threads {
-                    let tp = self.handles.thread(t);
-                    if tp.wal_recover(&mut ctx) > 0 {
-                        stats.regions_inconsistent += 1;
-                    }
-                }
-                // The full replay below rewrites every buffer line (and
-                // thereby scrubs any poison); just account for it.
-                for stage in 0..self.params.window() {
-                    if self.stage_poisoned(&poisoned, stage) {
-                        stats.regions_quarantined += 1;
-                    }
-                }
-                self.replay_from(&mut ctx, ChecksumKind::Modular, 0, &mut stats, false);
-                stats.cycles = ctx.now() - start;
-                return stats;
-            }
-        };
-        let mut stats = RecoveryStats::default();
-        let window = self.params.window();
-        let poisoned = machine.mem().poisoned_lines();
-        let mut ctx = machine.ctx(0);
-        let start = ctx.now();
-        let mut resume = 0;
-        for stage in (0..window).rev() {
-            // A stage whose destination holds a poisoned line cannot be
-            // trusted regardless of its checksums: quarantine it and keep
-            // scanning, so the replay below fully rewrites it — unless
-            // (`LazyParity`) rung 1 repairs every affected chunk, in which
-            // case the stage rejoins the audit below on its own merits.
-            if self.stage_poisoned(&poisoned, stage)
-                && !(repair
-                    && self.stage_poison_repair(&mut ctx, kind, stage, &poisoned, &mut stats))
-            {
-                stats.regions_quarantined += 1;
-                continue;
-            }
-            stats.regions_checked += self.params.chunks as u64;
-            let consistent = if repair {
-                self.stage_repair_consistent(&mut ctx, kind, stage, &mut stats)
-            } else {
-                self.stage_consistent(&mut ctx, kind, stage)
-            };
-            if consistent {
-                resume = stage + 1;
-                break;
-            }
-            stats.regions_inconsistent += 1;
-        }
-        self.replay_from(&mut ctx, kind, resume, &mut stats, repair);
-        stats.cycles = ctx.now() - start;
-        stats
-    }
-
-    /// Eagerly re-execute stages `from..window`, repairing checksums (and,
-    /// under `repair`, the parity lines alongside them).
-    fn replay_from(
-        &self,
-        ctx: &mut CoreCtx<'_>,
-        kind: ChecksumKind,
-        from: usize,
-        stats: &mut RecoveryStats,
-        repair: bool,
-    ) {
+    /// Eagerly re-execute stages `from..window`, republishing checksums
+    /// (and, under `LazyParity`, the parity lines alongside them).
+    fn replay_from(&self, rec: &mut Recovery<'_>, from: usize) {
         for stage in from..self.params.window() {
             for chunk in 0..self.params.chunks {
-                let mut sink = if repair {
-                    RecoverySink::with_parity(kind, self.handles.parity)
-                } else {
-                    RecoverySink::new(kind)
-                };
-                self.region_body(ctx, stage, chunk, &mut sink);
-                sink.commit(ctx, &self.handles.table, self.key(stage, chunk));
-                stats.recomputed_regions += 1;
+                self.recompute(rec, (stage, chunk));
             }
         }
-    }
-}
-
-/// Convenience driver mirroring [`crate::tmm::run`].
-pub fn run(cfg: &MachineConfig, params: FftParams, scheme: Scheme) -> KernelRun {
-    let cfg = cfg.clone().with_cores(params.threads);
-    let mut machine = Machine::new(cfg);
-    let fft = Fft::setup(&mut machine, params, scheme).expect("fft setup");
-    let outcome = machine.run(fft.plans());
-    let stats = machine.stats();
-    machine.drain_caches();
-    let verified = outcome == Outcome::Completed && fft.verify(&machine);
-    KernelRun {
-        stats,
-        outcome,
-        verified,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::run;
+    use lp_sim::config::MachineConfig;
+    use lp_sim::machine::Outcome;
     use lp_sim::prelude::CrashTrigger;
 
     fn cfg() -> MachineConfig {
@@ -695,7 +570,7 @@ mod tests {
             Scheme::Eager,
             Scheme::Wal,
         ] {
-            let r = run(&cfg(), FftParams::test_small(), scheme);
+            let r = run::<Fft>(&cfg(), FftParams::test_small(), scheme);
             assert_eq!(r.outcome, Outcome::Completed, "{scheme}");
             assert!(r.verified, "{scheme}");
         }

@@ -17,17 +17,15 @@
 //! replays only the later steps — or restores its rows from `a` and replays
 //! everything if nothing consistent survived.
 
-use crate::common::{
-    random_values, round_robin_blocks, EagerOnlySink, KernelRun, PMatrix, RecoverySink, SchemeSink,
-    StoreSink, IDX_OPS, MUL_ADD_OPS,
-};
-use lp_core::checksum::ChecksumKind;
-use lp_core::recovery::{recompute_checksum, RecoveryStats};
+use crate::common::{random_values, round_robin_blocks, PMatrix, IDX_OPS, MUL_ADD_OPS};
+use crate::driver::Scale;
+use crate::kernel::{newest_first, phased, Kernel, Region, Step};
+use lp_core::recovery::{Recovery, StoreSink};
 use lp_core::scheme::{Scheme, SchemeHandles};
+use lp_core::track::{RangeRole, TrackedRange};
 use lp_sim::addr::LineAddr;
-use lp_sim::config::MachineConfig;
 use lp_sim::core::CoreCtx;
-use lp_sim::machine::{Machine, Outcome, ThreadPlan};
+use lp_sim::machine::Machine;
 
 /// Problem and windowing parameters for one elimination run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,17 +147,23 @@ pub struct Gauss {
     pub handles: SchemeHandles,
 }
 
-impl Gauss {
-    /// Allocate and initialize on `machine`.
-    ///
-    /// # Errors
-    ///
-    /// Returns allocation or validation failures as strings.
-    pub fn setup(
-        machine: &mut Machine,
-        params: GaussParams,
-        scheme: Scheme,
-    ) -> Result<Self, String> {
+impl Kernel for Gauss {
+    type Params = GaussParams;
+
+    fn params(scale: Scale) -> GaussParams {
+        scale.pick([
+            GaussParams::micro,
+            GaussParams::test_small,
+            GaussParams::bench_default,
+            GaussParams::paper_default,
+        ])
+    }
+
+    fn threads(params: &GaussParams) -> usize {
+        params.threads
+    }
+
+    fn setup(machine: &mut Machine, params: GaussParams, scheme: Scheme) -> Result<Self, String> {
         params.validate()?;
         let n = params.n;
         let a = PMatrix::alloc(machine, n, n).map_err(|e| e.to_string())?;
@@ -184,31 +188,25 @@ impl Gauss {
         })
     }
 
-    /// Checksum-table key of region `(p, block)`.
-    pub fn key(&self, p: usize, block: usize) -> usize {
+    fn handles(&self) -> &SchemeHandles {
+        &self.handles
+    }
+
+    /// For each pivot, each thread runs its non-empty block regions, then
+    /// all threads barrier before the next pivot.
+    fn schedule(&self) -> Vec<Vec<Step>> {
+        phased(&self.ownership(), self.params.pivot_window, |(p, b)| {
+            !Self::region_rows(&self.params, p, b).is_empty()
+        })
+    }
+
+    /// Key of region `(p, block)`.
+    fn key(&self, (p, block): Region) -> usize {
         p * self.params.nblocks() + block
     }
 
-    /// Rows of `block` that pivot step `p` updates (rows greater than `p`).
-    pub fn region_rows(params: &GaussParams, p: usize, block: usize) -> std::ops::Range<usize> {
-        let lo = (block * params.bsize).max(p + 1);
-        let hi = (block + 1) * params.bsize;
-        lo..hi.max(lo)
-    }
-
-    /// Round-robin block ownership.
-    pub fn ownership(&self) -> Vec<Vec<usize>> {
-        round_robin_blocks(self.params.nblocks(), self.params.threads)
-    }
-
-    /// One region: eliminate column `p` from this block's rows.
-    fn region_body<S: StoreSink>(
-        &self,
-        ctx: &mut CoreCtx<'_>,
-        p: usize,
-        block: usize,
-        sink: &mut S,
-    ) {
+    /// Eliminate column `p` from this block's rows.
+    fn body<S: StoreSink>(&self, ctx: &mut CoreCtx<'_>, (p, block): Region, sink: &mut S) {
         let n = self.params.n;
         let pivot = self.w.load(ctx, p, p);
         for r in Self::region_rows(&self.params, p, block) {
@@ -224,11 +222,7 @@ impl Gauss {
         }
     }
 
-    /// Per-thread schedules: for each pivot, each thread runs its non-empty
-    /// block regions, then all threads barrier before the next pivot.
-    /// Persistent address ranges for the `lp-check` sanitizer.
-    pub fn tracked_ranges(&self) -> Vec<lp_core::track::TrackedRange> {
-        use lp_core::track::{RangeRole, TrackedRange};
+    fn tracked_ranges(&self) -> Vec<TrackedRange> {
         let mut out = vec![
             TrackedRange::of("gauss.w", self.w.array(), RangeRole::Protected),
             TrackedRange::of("gauss.a", self.a.array(), RangeRole::Scratch),
@@ -237,83 +231,27 @@ impl Gauss {
         out
     }
 
-    /// Build the scheduled per-core work plans for one run.
-    pub fn plans(&self) -> Vec<ThreadPlan<'static>> {
-        let owners = self.ownership();
-        let mut plans: Vec<ThreadPlan<'static>> = (0..self.params.threads)
-            .map(|_| ThreadPlan::new())
-            .collect();
-        for p in 0..self.params.pivot_window {
-            for (t, owned) in owners.iter().enumerate() {
-                let tp = self.handles.thread(t);
-                for &block in owned {
-                    if Self::region_rows(&self.params, p, block).is_empty() {
-                        continue;
-                    }
-                    let this = self.clone();
-                    plans[t].region(move |ctx| {
-                        let key = this.key(p, block);
-                        let mut rs = tp.begin(ctx, key);
-                        let mut sink = SchemeSink { tp, rs: &mut rs };
-                        this.region_body(ctx, p, block, &mut sink);
-                        tp.commit(ctx, rs);
-                    });
-                }
-            }
-            for plan in &mut plans {
-                plan.barrier();
-            }
-        }
-        plans
-    }
-
-    /// Host golden for the simulated window.
-    pub fn golden(params: &GaussParams) -> Vec<f64> {
-        let n = params.n;
-        let mut w = gauss_input(params.seed, n);
-        for p in 0..params.pivot_window {
-            let pivot = w[p * n + p];
-            for r in p + 1..n {
-                let factor = w[r * n + p] / pivot;
-                w[r * n + p] = factor;
-                for j in p + 1..n {
-                    w[r * n + j] -= factor * w[p * n + j];
-                }
-            }
-        }
-        w
-    }
-
-    /// Whether the durable working matrix matches the golden reference.
-    pub fn verify(&self, machine: &Machine) -> bool {
+    fn verify(&self, machine: &Machine) -> bool {
         crate::common::values_match(&self.w.peek_all(machine), &Self::golden(&self.params))
     }
 
-    /// Lines of `w` that recovery provably rebuilds — the fault campaign's
-    /// poison target set. Quarantine restores whole blocks from the
-    /// preserved input, so every data-span line (pivot row 0 included) is
-    /// repairable.
-    pub fn repairable_lines(&self) -> Vec<LineAddr> {
-        let n = self.params.n;
-        let mut lines: Vec<LineAddr> = (0..n)
-            .flat_map(|r| self.w.array().lines_of_range(self.w.idx(r, 0), n))
-            .collect();
-        lines.sort_unstable();
-        lines.dedup();
-        lines
+    /// Every data-span line of `w` (pivot row 0 included): quarantine
+    /// restores whole blocks from the preserved input.
+    fn repairable_lines(&self) -> Vec<LineAddr> {
+        self.w.data_lines(0..self.params.n)
     }
 
-    /// Lines of `w` where a *silent* bit flip is provably detected — the
-    /// fault campaign's flip target set. Region `(p, block)` checksums
-    /// cover rows `> p`, columns `≥ p`, and only the newest committed
-    /// region per block matches current data (older checksums are stale
-    /// once a later pivot rewrites their columns). Whatever that newest
-    /// region is (`p* ≤ window−1`), cells with row `≥ window` and column
-    /// `≥ window−1` are always inside its coverage — so only lines fully
-    /// inside that region are fair targets. Pivot rows (`row < window`)
-    /// and multiplier columns below `window−1` are uncovered by any
-    /// current checksum; flips there are undetectable in principle.
-    pub fn flip_lines(&self) -> Vec<LineAddr> {
+    /// Lines of `w` where a *silent* bit flip is provably detected. Region
+    /// `(p, block)` checksums cover rows `> p`, columns `≥ p`, and only the
+    /// newest committed region per block matches current data (older
+    /// checksums are stale once a later pivot rewrites their columns).
+    /// Whatever that newest region is (`p* ≤ window−1`), cells with row
+    /// `≥ window` and column `≥ window−1` are always inside its coverage —
+    /// so only lines fully inside that region are fair targets. Pivot rows
+    /// (`row < window`) and multiplier columns below `window−1` are
+    /// uncovered by any current checksum; flips there are undetectable in
+    /// principle.
+    fn flip_lines(&self) -> Vec<LineAddr> {
         let n = self.params.n;
         let window = self.params.pivot_window;
         let elems_per_line = lp_sim::addr::LINE_BYTES / 8;
@@ -337,36 +275,55 @@ impl Gauss {
         lines
     }
 
-    /// Whether any line of `block`'s rows is poisoned.
-    fn block_poisoned(&self, poisoned: &[LineAddr], block: usize) -> bool {
-        let (n, bsize) = (self.params.n, self.params.bsize);
-        (block * bsize..(block + 1) * bsize).any(|r| {
-            lp_core::recovery::range_poisoned(poisoned, self.w.array(), self.w.idx(r, 0), n)
-        })
-    }
-
-    /// Fold the checksum of region `(p, block)` from current data, in the
-    /// exact store order of [`Gauss::region_body`].
-    fn fold_region(
-        &self,
-        ctx: &mut CoreCtx<'_>,
-        kind: ChecksumKind,
-        p: usize,
-        block: usize,
-    ) -> u64 {
-        let n = self.params.n;
-        let mut values = Vec::new();
-        for r in Self::region_rows(&self.params, p, block) {
-            for j in p..n {
-                values.push(self.w.load(ctx, r, j));
-                ctx.compute(kind.cost_ops());
+    fn recover(&self, rec: &mut Recovery<'_>) {
+        match self.scheme {
+            Scheme::Eager | Scheme::Wal => self.recover_marker_based(rec),
+            // Block 0 first: it holds every pivot row of the window.
+            _ => {
+                for block in 0..self.params.nblocks() {
+                    self.recover_block(rec, block);
+                }
             }
         }
-        recompute_checksum(kind, |ck| {
-            for v in values {
-                ck.update(v.to_bits());
+    }
+}
+
+crate::kernel::inherent_kernel_api!(Gauss);
+
+impl Gauss {
+    /// Rows of `block` that pivot step `p` updates (rows greater than `p`).
+    pub fn region_rows(params: &GaussParams, p: usize, block: usize) -> std::ops::Range<usize> {
+        let lo = (block * params.bsize).max(p + 1);
+        let hi = (block + 1) * params.bsize;
+        lo..hi.max(lo)
+    }
+
+    /// Round-robin block ownership.
+    pub fn ownership(&self) -> Vec<Vec<usize>> {
+        round_robin_blocks(self.params.nblocks(), self.params.threads)
+    }
+
+    /// Host golden for the simulated window.
+    pub fn golden(params: &GaussParams) -> Vec<f64> {
+        let n = params.n;
+        let mut w = gauss_input(params.seed, n);
+        for p in 0..params.pivot_window {
+            let pivot = w[p * n + p];
+            for r in p + 1..n {
+                let factor = w[r * n + p] / pivot;
+                w[r * n + p] = factor;
+                for j in p + 1..n {
+                    w[r * n + j] -= factor * w[p * n + j];
+                }
             }
-        })
+        }
+        w
+    }
+
+    /// Whether any line of `block`'s rows is poisoned.
+    fn block_poisoned(&self, rec: &Recovery<'_>, block: usize) -> bool {
+        let bsize = self.params.bsize;
+        self.w.rows_poisoned(&rec.poisoned, block * bsize, bsize)
     }
 
     /// Restore a block's rows from the original input, eagerly.
@@ -382,232 +339,69 @@ impl Gauss {
         ctx.sfence();
     }
 
-    /// The element indices of region `(p, block)` in checksum fold order.
-    fn region_indices(&self, p: usize, block: usize) -> Vec<usize> {
-        let n = self.params.n;
-        Self::region_rows(&self.params, p, block)
-            .flat_map(|r| (p..n).map(move |j| self.w.idx(r, j)))
-            .collect()
-    }
-
-    /// Rung 1 for a poisoned block under `LazyParity`: scan pivots
-    /// newest-first for a committed region whose parity line reconstructs
-    /// the offending line bit-exactly (stale pivots fail re-verification;
-    /// lines straddling the multiplier columns below the pivot are only
-    /// partially owned and refuse reconstruction). Returns `true` on
-    /// repair; `false` records the escalation to rung 2.
-    fn block_poison_repair(
-        &self,
-        ctx: &mut CoreCtx<'_>,
-        kind: ChecksumKind,
-        block: usize,
-        poisoned: &[LineAddr],
-        stats: &mut RecoveryStats,
-    ) -> bool {
-        for p in (0..self.params.pivot_window).rev() {
-            if Self::region_rows(&self.params, p, block).is_empty() {
-                continue;
-            }
-            match lp_core::parity::try_poison_repair(
-                ctx,
-                &self.handles.table,
-                &self.handles.parity,
-                self.key(p, block),
-                kind,
-                self.w.array(),
-                &self.region_indices(p, block),
-                poisoned,
-            ) {
-                lp_core::parity::RepairVerdict::Repaired => {
-                    stats.repaired_lines += 1;
-                    return true;
-                }
-                lp_core::parity::RepairVerdict::Failed => stats.repair_failures += 1,
-                lp_core::parity::RepairVerdict::Clean => break,
-            }
-        }
-        stats.escalations += 1;
-        false
-    }
-
     /// Recover one block: newest-first scan of its pivot checksums, then
-    /// replay of the later pivots (or everything, from the input). With
-    /// `repair` (`LazyParity`), the rung-1 parity repair runs before any
-    /// quarantine or recompute decision.
-    fn recover_block(
-        &self,
-        ctx: &mut CoreCtx<'_>,
-        kind: ChecksumKind,
-        block: usize,
-        poisoned: &[LineAddr],
-        stats: &mut RecoveryStats,
-        repair: bool,
-    ) {
-        let window = self.params.pivot_window;
-        let mut resume = 0;
-        let mut quarantined = false;
-        if self.block_poisoned(poisoned, block)
-            && !(repair && self.block_poison_repair(ctx, kind, block, poisoned, stats))
-        {
-            // Media fault inside the block that rung 1 could not (or,
-            // without parity, cannot) localize and reconstruct: poison
-            // reads as a fixed pattern a weak code can collide with, so no
-            // checksum verdict is trusted — quarantine, restore from the
-            // preserved input, and replay every pivot. The replay stores
-            // fresh checksums, so a crash mid-rebuild re-enters through
-            // the normal scan even after the rebuild's own writes scrub
-            // the poison.
-            stats.regions_quarantined += 1;
-            quarantined = true;
-        }
-        if !quarantined {
-            let mut rung1_failed = false;
-            for p in (0..window).rev() {
-                if Self::region_rows(&self.params, p, block).is_empty() {
-                    continue;
-                }
-                stats.regions_checked += 1;
-                let folded = self.fold_region(ctx, kind, p, block);
-                if self.handles.table.matches(ctx, self.key(p, block), folded) {
-                    resume = p + 1;
-                    break;
-                }
-                stats.regions_inconsistent += 1;
-                if repair {
-                    // Rung 1 for a silent mismatch: one flipped line of
-                    // pivot state `p` is reconstructible from its parity.
-                    if lp_core::parity::try_mismatch_repair(
-                        ctx,
-                        &self.handles.table,
-                        &self.handles.parity,
-                        self.key(p, block),
-                        kind,
-                        self.w.array(),
-                        &self.region_indices(p, block),
-                    ) {
-                        stats.repaired_lines += 1;
-                        resume = p + 1;
-                        break;
-                    }
-                    stats.repair_failures += 1;
-                    rung1_failed = true;
-                }
-            }
-            if rung1_failed && resume < window {
-                stats.escalations += 1;
-            }
-        }
+    /// replay of the later pivots — or, when nothing consistent survived
+    /// or the block is quarantined, restore it from the preserved input
+    /// and replay every pivot. The replay stores fresh checksums, so a
+    /// crash mid-rebuild re-enters through the normal scan even after the
+    /// rebuild's own writes scrub the poison.
+    fn recover_block(&self, rec: &mut Recovery<'_>, block: usize) {
+        let steps: Vec<usize> = (0..self.params.pivot_window)
+            .filter(|&p| !Self::region_rows(&self.params, p, block).is_empty())
+            .collect();
+        let poisoned = self.block_poisoned(rec, block);
+        let slots = |p| {
+            let rows = Self::region_rows(&self.params, p, block);
+            self.w.slots(rows, p..self.params.n)
+        };
+        let resume = newest_first(self, rec, block, &steps, poisoned, slots).unwrap_or_else(|| {
+            rec.stats.regions_quarantined += 1;
+            0
+        });
         if resume == 0 {
-            self.restore_block_from_input(ctx, block);
+            self.restore_block_from_input(&mut rec.ctx, block);
         }
-        for p in resume..window {
-            if Self::region_rows(&self.params, p, block).is_empty() {
-                continue;
-            }
-            let mut sink = if repair {
-                RecoverySink::with_parity(kind, self.handles.parity)
-            } else {
-                RecoverySink::new(kind)
-            };
-            self.region_body(ctx, p, block, &mut sink);
-            sink.commit(ctx, &self.handles.table, self.key(p, block));
-            stats.recomputed_regions += 1;
+        for &p in steps.iter().filter(|&&p| p >= resume) {
+            self.recompute(rec, (p, block));
         }
     }
 
-    /// Post-crash recovery, dispatched by scheme.
-    pub fn recover(&self, machine: &mut Machine) -> RecoveryStats {
-        match self.scheme {
-            Scheme::Base => RecoveryStats::default(),
-            Scheme::Lazy(kind) | Scheme::LazyEagerCk(kind) | Scheme::LazyParity(kind) => {
-                let repair = matches!(self.scheme, Scheme::LazyParity(_));
-                let mut stats = RecoveryStats::default();
-                let poisoned = machine.mem().poisoned_lines();
-                let mut ctx = machine.ctx(0);
-                let start = ctx.now();
-                // Block 0 first: it holds every pivot row of the window.
-                for block in 0..self.params.nblocks() {
-                    self.recover_block(&mut ctx, kind, block, &poisoned, &mut stats, repair);
-                }
-                stats.cycles = ctx.now() - start;
-                stats
-            }
-            Scheme::Eager | Scheme::Wal => self.recover_marker_based(machine),
-        }
-    }
-
-    /// EP/WAL recovery: undo open transactions; for each thread restore
-    /// its blocks from the input and replay its whole schedule eagerly.
-    /// (Simple and conservative: markers order regions per thread, but a
+    /// EP/WAL recovery: undo open transactions; restore every block from
+    /// the input and replay the whole schedule eagerly. (Simple and
+    /// conservative: markers order regions per thread, but a
     /// partially-evicted in-flight region poisons replay state, so blocks
     /// are rebuilt from the preserved input.)
-    fn recover_marker_based(&self, machine: &mut Machine) -> RecoveryStats {
-        let mut stats = RecoveryStats::default();
-        let poisoned = machine.mem().poisoned_lines();
-        let owners = self.ownership();
-        let window = self.params.pivot_window;
+    fn recover_marker_based(&self, rec: &mut Recovery<'_>) {
         // The full rebuild below repairs media faults as a side effect;
         // count the quarantined blocks so campaigns see the detection.
-        stats.regions_quarantined += (0..self.params.nblocks())
-            .filter(|&b| self.block_poisoned(&poisoned, b))
+        rec.stats.regions_quarantined += (0..self.params.nblocks())
+            .filter(|&b| self.block_poisoned(rec, b))
             .count() as u64;
-        let mut ctx = machine.ctx(0);
-        let start = ctx.now();
-        for t in 0..self.params.threads {
-            let tp = self.handles.thread(t);
-            if tp.wal_recover(&mut ctx) > 0 {
-                stats.regions_inconsistent += 1;
-            }
-        }
-        // Restore every block, then replay pivots in order (single
-        // recovery thread, eager persistency).
+        rec.wal_recover(0..self.params.threads);
         for block in 0..self.params.nblocks() {
-            self.restore_block_from_input(&mut ctx, block);
+            self.restore_block_from_input(&mut rec.ctx, block);
         }
-        // One sink across the whole replay: successive pivots rewrite
-        // overlapping block rows, so a single deduplicated commit at the
-        // end flushes each touched line once (and fences once) instead
-        // of per region. Nothing publishes progress during the replay —
-        // a crash mid-recovery restarts from the preserved input — so
-        // deferring durability to the end is safe.
-        let mut sink = EagerOnlySink::default();
-        for p in 0..window {
-            for owned in &owners {
-                for &block in owned {
-                    if Self::region_rows(&self.params, p, block).is_empty() {
-                        continue;
-                    }
-                    stats.regions_checked += 1;
-                    self.region_body(&mut ctx, p, block, &mut sink);
-                    stats.recomputed_regions += 1;
-                }
-            }
-        }
-        sink.commit(&mut ctx);
-        stats.cycles = ctx.now() - start;
-        stats
-    }
-}
-
-/// Convenience driver mirroring [`crate::tmm::run`].
-pub fn run(cfg: &MachineConfig, params: GaussParams, scheme: Scheme) -> KernelRun {
-    let cfg = cfg.clone().with_cores(params.threads);
-    let mut machine = Machine::new(cfg);
-    let gauss = Gauss::setup(&mut machine, params, scheme).expect("gauss setup");
-    let outcome = machine.run(gauss.plans());
-    let stats = machine.stats();
-    machine.drain_caches();
-    let verified = outcome == Outcome::Completed && gauss.verify(&machine);
-    KernelRun {
-        stats,
-        outcome,
-        verified,
+        // Successive pivots rewrite overlapping block rows, so one
+        // rebuild commit at the end flushes each touched line once. Nothing
+        // publishes progress during the replay — a crash mid-recovery
+        // restarts from the preserved input — so deferring durability to
+        // the end is safe.
+        let owners = self.ownership();
+        let regions: Vec<Region> = (0..self.params.pivot_window)
+            .flat_map(|p| owners.iter().flatten().map(move |&block| (p, block)))
+            .filter(|&(p, block)| !Self::region_rows(&self.params, p, block).is_empty())
+            .collect();
+        rec.stats.regions_checked += regions.len() as u64;
+        self.rebuild(rec, regions);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::run;
+    use lp_sim::config::MachineConfig;
+    use lp_sim::machine::Outcome;
     use lp_sim::prelude::CrashTrigger;
 
     fn cfg() -> MachineConfig {
@@ -631,7 +425,7 @@ mod tests {
             Scheme::Eager,
             Scheme::Wal,
         ] {
-            let r = run(&cfg(), GaussParams::test_small(), scheme);
+            let r = run::<Gauss>(&cfg(), GaussParams::test_small(), scheme);
             assert_eq!(r.outcome, Outcome::Completed, "{scheme}");
             assert!(r.verified, "{scheme}");
         }

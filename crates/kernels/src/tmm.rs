@@ -17,27 +17,17 @@
 //! state, and only later `kk` contributions are recomputed — eagerly, so
 //! recovery itself makes forward progress.
 
-use crate::common::{
-    random_values, round_robin_blocks, EagerOnlySink, KernelRun, PMatrix, RecoverySink, SchemeSink,
-    StoreSink, IDX_OPS, MUL_ADD_OPS,
-};
-use lp_core::checksum::ChecksumKind;
-use lp_core::recovery::RecoveryStats;
+use crate::common::{random_values, round_robin_blocks, PMatrix, IDX_OPS, MUL_ADD_OPS};
+use crate::driver::Scale;
+use crate::kernel::{newest_first, Kernel, Region, Step};
+use lp_core::parity::Slot;
+use lp_core::recovery::{Recovery, StoreSink};
 use lp_core::scheme::{Scheme, SchemeHandles};
+use lp_core::track::{RangeRole, TrackedRange};
 use lp_sim::addr::LineAddr;
-use lp_sim::config::MachineConfig;
 use lp_sim::core::CoreCtx;
-use lp_sim::machine::{Machine, Outcome, ThreadPlan};
+use lp_sim::machine::Machine;
 use lp_sim::mem::OutOfPersistentMemory;
-
-/// Journal value marking a strip rebuild in progress during EP/WAL
-/// recovery. Those schemes never use the checksum table, so the slot for
-/// region `(0, ib)` doubles as a durable quarantine record: a nested crash
-/// mid-rebuild re-enters the rebuild even after the rebuild's own writes
-/// scrubbed the poison registry that first triggered it.
-const REBUILD_ARMED: u64 = 0x5EBD_5EBD_5EBD_5EBD;
-/// Journal value marking a completed strip rebuild.
-const REBUILD_CLEARED: u64 = 0;
 
 /// Problem and windowing parameters for one tmm run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,15 +143,23 @@ pub struct Tmm {
     pub handles: SchemeHandles,
 }
 
-impl Tmm {
-    /// Allocate and initialize the workload on `machine` (untimed setup:
-    /// inputs are durable before the measured run starts).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OutOfPersistentMemory`] if the heap is too small, or a
-    /// parameter-validation message.
-    pub fn setup(machine: &mut Machine, params: TmmParams, scheme: Scheme) -> Result<Self, String> {
+impl Kernel for Tmm {
+    type Params = TmmParams;
+
+    fn params(scale: Scale) -> TmmParams {
+        scale.pick([
+            TmmParams::micro,
+            TmmParams::test_small,
+            TmmParams::bench_default,
+            TmmParams::paper_default,
+        ])
+    }
+
+    fn threads(params: &TmmParams) -> usize {
+        params.threads
+    }
+
+    fn setup(machine: &mut Machine, params: TmmParams, scheme: Scheme) -> Result<Self, String> {
         params.validate()?;
         let alloc = |e: OutOfPersistentMemory| e.to_string();
         let n = params.n;
@@ -191,35 +189,26 @@ impl Tmm {
         })
     }
 
-    /// Collision-free checksum-table / marker key for region `(kb, ib)`.
-    pub fn key(&self, kb: usize, ib: usize) -> usize {
+    fn handles(&self) -> &SchemeHandles {
+        &self.handles
+    }
+
+    /// `kk`-major over each thread's owned strips, one region per
+    /// `(kk, ii)` (Figure 8's structure); no barriers.
+    fn schedule(&self) -> Vec<Vec<Step>> {
+        self.ownership()
+            .iter()
+            .map(|owned| self.sequence(owned).into_iter().map(Step::Region).collect())
+            .collect()
+    }
+
+    /// Collision-free key of region `(kb, ib)`.
+    fn key(&self, (kb, ib): Region) -> usize {
         kb * self.params.nb() + ib
     }
 
-    /// Inverse of [`Tmm::key`].
-    pub fn key_to_region(&self, key: usize) -> (usize, usize) {
-        (key / self.params.nb(), key % self.params.nb())
-    }
-
-    /// The strip indices owned by each thread (round-robin over `ii`
-    /// strips, like the paper's static parallelization).
-    pub fn ownership(&self) -> Vec<Vec<usize>> {
-        round_robin_blocks(self.params.nb(), self.params.threads)
-    }
-
-    /// `(i, j)` store order of region `(·, ib)`: the `jj → i → j` loop
-    /// nest of Figure 8. Checksum folds follow exactly this order.
-    pub fn region_elems(params: &TmmParams, ib: usize) -> impl Iterator<Item = (usize, usize)> {
-        let (n, bsize) = (params.n, params.bsize);
-        let ii = ib * bsize;
-        (0..n).step_by(bsize).flat_map(move |jj| {
-            (ii..ii + bsize).flat_map(move |i| (jj..jj + bsize).map(move |j| (i, j)))
-        })
-    }
-
-    /// One region's computation: accumulate the `kk` strip partial product
-    /// into `c`'s `ii` strip, routing stores through `sink`.
-    fn region_body<S: StoreSink>(&self, ctx: &mut CoreCtx<'_>, kb: usize, ib: usize, sink: &mut S) {
+    /// Accumulate the `kk` strip partial product into `c`'s `ii` strip.
+    fn body<S: StoreSink>(&self, ctx: &mut CoreCtx<'_>, (kb, ib): Region, sink: &mut S) {
         let (n, bsize) = (self.params.n, self.params.bsize);
         let kk = kb * bsize;
         let ii = ib * bsize;
@@ -245,13 +234,7 @@ impl Tmm {
         }
     }
 
-    /// Build the per-thread schedules: `kk`-major over each thread's owned
-    /// strips, one scheduled region per `(kk, ii)` (Figure 8's structure).
-    /// Persistent address ranges for the `lp-check` sanitizer: the
-    /// protected output, the read-only inputs, and the scheme's own
-    /// structures.
-    pub fn tracked_ranges(&self) -> Vec<lp_core::track::TrackedRange> {
-        use lp_core::track::{RangeRole, TrackedRange};
+    fn tracked_ranges(&self) -> Vec<TrackedRange> {
         let mut out = vec![
             TrackedRange::of("tmm.c", self.c.array(), RangeRole::Protected),
             TrackedRange::of("tmm.a", self.a.array(), RangeRole::Scratch),
@@ -261,28 +244,52 @@ impl Tmm {
         out
     }
 
-    /// Build the scheduled per-core work plans for one run.
-    pub fn plans(&self) -> Vec<ThreadPlan<'static>> {
-        let owners = self.ownership();
-        let mut plans: Vec<ThreadPlan<'static>> = (0..self.params.threads)
-            .map(|_| ThreadPlan::new())
-            .collect();
-        for (t, owned) in owners.into_iter().enumerate() {
-            let tp = self.handles.thread(t);
-            for kb in 0..self.params.window() {
-                for &ib in &owned {
-                    let this = self.clone();
-                    plans[t].region(move |ctx| {
-                        let key = this.key(kb, ib);
-                        let mut rs = tp.begin(ctx, key);
-                        let mut sink = SchemeSink { tp, rs: &mut rs };
-                        this.region_body(ctx, kb, ib, &mut sink);
-                        tp.commit(ctx, rs);
-                    });
-                }
-            }
+    fn verify(&self, machine: &Machine) -> bool {
+        crate::common::values_match(&self.c.peek_all(machine), &Self::golden(&self.params))
+    }
+
+    /// Every data-span line of `c`, which is also the flip target set:
+    /// every checksum of a strip covers the whole strip, so a flip
+    /// anywhere in its data fails every scan level and forces a
+    /// zero-and-replay rebuild, and strips with no committed checksum are
+    /// rebuilt (re-zeroed) unconditionally.
+    fn repairable_lines(&self) -> Vec<LineAddr> {
+        self.c.data_lines(0..self.params.n)
+    }
+
+    fn recover(&self, rec: &mut Recovery<'_>) {
+        match self.scheme {
+            Scheme::Eager => self.recover_eager(rec),
+            Scheme::Wal => self.recover_wal(rec),
+            _ => self.recover_lazy(rec),
         }
-        plans
+    }
+}
+
+crate::kernel::inherent_kernel_api!(Tmm);
+
+impl Tmm {
+    /// The strip indices owned by each thread (round-robin over `ii`
+    /// strips, like the paper's static parallelization).
+    pub fn ownership(&self) -> Vec<Vec<usize>> {
+        round_robin_blocks(self.params.nb(), self.params.threads)
+    }
+
+    /// One thread's regions: `kk`-major over its `owned` strips.
+    fn sequence(&self, owned: &[usize]) -> Vec<Region> {
+        (0..self.params.window())
+            .flat_map(|kb| owned.iter().map(move |&ib| (kb, ib)))
+            .collect()
+    }
+
+    /// `(i, j)` store order of region `(·, ib)`: the `jj → i → j` loop
+    /// nest of Figure 8. Checksum folds follow exactly this order.
+    pub fn region_elems(params: &TmmParams, ib: usize) -> impl Iterator<Item = (usize, usize)> {
+        let (n, bsize) = (params.n, params.bsize);
+        let ii = ib * bsize;
+        (0..n).step_by(bsize).flat_map(move |jj| {
+            (ii..ii + bsize).flat_map(move |i| (jj..jj + bsize).map(move |j| (i, j)))
+        })
     }
 
     /// Host golden reference for the simulated window (same accumulation
@@ -312,84 +319,33 @@ impl Tmm {
         c
     }
 
-    /// Whether the durable image of `c` matches the golden reference.
-    pub fn verify(&self, machine: &Machine) -> bool {
-        crate::common::values_match(&self.c.peek_all(machine), &Self::golden(&self.params))
-    }
-
-    /// Lines of the protected output that recovery provably rebuilds —
-    /// the fault campaign's media-fault target set. Data spans only: row
-    /// padding is never verified (lines straddling into padding are fine;
-    /// their pad bytes simply stay unchecked).
-    pub fn repairable_lines(&self) -> Vec<LineAddr> {
-        let n = self.params.n;
-        let mut lines: Vec<LineAddr> = (0..n)
-            .flat_map(|i| self.c.array().lines_of_range(self.c.idx(i, 0), n))
-            .collect();
-        lines.sort_unstable();
-        lines.dedup();
-        lines
-    }
-
-    /// Lines a silent bit flip may target under Lazy schemes: same set as
-    /// [`Self::repairable_lines`]. Every checksum of a strip covers the
-    /// whole strip, so a flip anywhere in its data fails every scan level
-    /// and forces a zero-and-replay rebuild; strips with no committed
-    /// checksum are rebuilt (re-zeroed) unconditionally.
-    pub fn flip_lines(&self) -> Vec<LineAddr> {
-        self.repairable_lines()
+    /// The slots of strip `ib`'s regions, in fold order.
+    fn strip_slots(&self, ib: usize) -> Vec<Slot<f64>> {
+        Self::region_elems(&self.params, ib)
+            .map(|(i, j)| (self.c.array(), self.c.idx(i, j)))
+            .collect()
     }
 
     /// Whether any line of strip `ib`'s data spans is poisoned.
-    fn strip_poisoned(&self, poisoned: &[LineAddr], ib: usize) -> bool {
-        let (n, bsize) = (self.params.n, self.params.bsize);
-        let ii = ib * bsize;
-        (ii..ii + bsize).any(|i| {
-            lp_core::recovery::range_poisoned(poisoned, self.c.array(), self.c.idx(i, 0), n)
-        })
-    }
-
-    /// Whether strip `ib`'s durable rebuild journal is armed (a prior
-    /// EP/WAL recovery crashed mid-rebuild).
-    fn strip_rebuild_armed(&self, ctx: &mut CoreCtx<'_>, ib: usize) -> bool {
-        self.handles.table.load(ctx, self.key(0, ib)) == Some(REBUILD_ARMED)
+    fn strip_poisoned(&self, rec: &Recovery<'_>, ib: usize) -> bool {
+        let bsize = self.params.bsize;
+        self.c.rows_poisoned(&rec.poisoned, ib * bsize, bsize)
     }
 
     /// Durably rebuild strip `ib` from its initial zeros through its first
-    /// `kbs_done` `kk` contributions (EP/WAL recovery). The rebuild is
-    /// journalled in the strip's table slot so it is re-entered after a
-    /// nested crash.
-    fn rebuild_strip(
-        &self,
-        ctx: &mut CoreCtx<'_>,
-        ib: usize,
-        kbs_done: usize,
-        stats: &mut RecoveryStats,
-    ) {
-        let (n, bsize) = (self.params.n, self.params.bsize);
-        let key = self.key(0, ib);
-        self.handles.table.store(ctx, key, REBUILD_ARMED);
-        self.handles.table.persist(ctx, key);
-        let ii = ib * bsize;
-        for i in ii..ii + bsize {
-            self.c.store_row_run(ctx, i, 0, n, 0.0);
-        }
-        self.c.flush_rows(ctx, ii, bsize);
-        ctx.sfence();
-        // One sink across the whole replay: every `kb` contribution
-        // rewrites the same strip rows, so a single deduplicated commit
-        // flushes each line once (and fences once) instead of per
-        // iteration. Durability is only needed before REBUILD_CLEARED
-        // publishes below; a crash mid-replay re-enters via the armed
-        // journal slot.
-        let mut sink = EagerOnlySink::default();
-        for kb in 0..kbs_done {
-            self.region_body(ctx, kb, ib, &mut sink);
-            stats.recomputed_regions += 1;
-        }
-        sink.commit(ctx);
-        self.handles.table.store(ctx, key, REBUILD_CLEARED);
-        self.handles.table.persist(ctx, key);
+    /// `kbs_done` `kk` contributions (EP/WAL recovery). EP and WAL never
+    /// read the checksum table, so the slot of region `(0, ib)` holds the
+    /// strip's rebuild journal.
+    fn rebuild_strip(&self, rec: &mut Recovery<'_>, ib: usize, kbs_done: usize) {
+        let bsize = self.params.bsize;
+        let journal = self.key((0, ib));
+        rec.arm_rebuild(journal);
+        self.c.zero_rows(&mut rec.ctx, ib * bsize, bsize);
+        // Every `kb` contribution rewrites the same strip rows; durability
+        // is only needed before the journal clears below, since a crash
+        // mid-replay re-enters via the armed journal.
+        self.rebuild(rec, (0..kbs_done).map(|kb| (kb, ib)));
+        rec.clear_rebuild(journal);
     }
 
     /// `kk` contributions of the strip at position `pos` in its owner's
@@ -404,167 +360,46 @@ impl Tmm {
         }
     }
 
-    /// Post-crash recovery, dispatched by scheme. Runs single-threaded on
-    /// core 0 with Eager Persistency, per Section III-E.
-    pub fn recover(&self, machine: &mut Machine) -> RecoveryStats {
-        match self.scheme {
-            Scheme::Base => RecoveryStats::default(),
-            Scheme::Lazy(kind) | Scheme::LazyEagerCk(kind) => {
-                self.recover_lazy(machine, kind, false)
-            }
-            Scheme::LazyParity(kind) => self.recover_lazy(machine, kind, true),
-            Scheme::Eager => self.recover_eager(machine),
-            Scheme::Wal => self.recover_wal(machine),
+    /// The position in an owner's schedule just past the region its
+    /// durable `marker` names (`0`: nothing committed).
+    fn resume_position(&self, owned: &[usize], marker: u64) -> usize {
+        if marker == 0 {
+            return 0;
         }
-    }
-
-    /// Rung 1 for a poisoned strip under `LazyParity`: scan `kk`
-    /// newest-first for a committed region whose parity line reconstructs
-    /// the offending line bit-exactly (stale or not-yet-committed `kk`s
-    /// fail the re-verification and the scan continues). Returns `true` on
-    /// repair; `false` records the escalation to rung 2.
-    fn strip_poison_repair(
-        &self,
-        ctx: &mut CoreCtx<'_>,
-        kind: ChecksumKind,
-        ib: usize,
-        poisoned: &[LineAddr],
-        stats: &mut RecoveryStats,
-    ) -> bool {
-        let indices: Vec<usize> = Self::region_elems(&self.params, ib)
-            .map(|(i, j)| self.c.idx(i, j))
-            .collect();
-        for kb in (0..self.params.window()).rev() {
-            match lp_core::parity::try_poison_repair(
-                ctx,
-                &self.handles.table,
-                &self.handles.parity,
-                self.key(kb, ib),
-                kind,
-                self.c.array(),
-                &indices,
-                poisoned,
-            ) {
-                lp_core::parity::RepairVerdict::Repaired => {
-                    stats.repaired_lines += 1;
-                    return true;
-                }
-                lp_core::parity::RepairVerdict::Failed => stats.repair_failures += 1,
-                lp_core::parity::RepairVerdict::Clean => break,
-            }
-        }
-        stats.escalations += 1;
-        false
+        let key = (marker - 1) as usize;
+        let (kb, ib) = (key / self.params.nb(), key % self.params.nb());
+        let pos = owned.iter().position(|&b| b == ib).expect("owned");
+        kb * owned.len() + pos + 1
     }
 
     /// Figure 9's recovery with the per-strip optimization: for each `ii`
     /// strip, scan `kk` checksums newest-first; the first match is the
-    /// strip's durable state, and only later `kk`s are recomputed. With
-    /// `repair` (`LazyParity`), each rung of the escalation ladder runs
-    /// first: parity-repair a poisoned or silently-flipped line, and only
-    /// recompute when reconstruction cannot re-verify.
-    fn recover_lazy(
-        &self,
-        machine: &mut Machine,
-        kind: ChecksumKind,
-        repair: bool,
-    ) -> RecoveryStats {
-        let mut stats = RecoveryStats::default();
-        let poisoned = machine.mem().poisoned_lines();
-        let window = self.params.window();
-        let (n, bsize) = (self.params.n, self.params.bsize);
-        let mut ctx = machine.ctx(0);
-        let start = ctx.now();
+    /// strip's durable state, and only later `kk`s are recomputed. A
+    /// poisoned strip that rung 1 cannot repair is quarantined and rebuilt
+    /// from its initial zeros; the replay stores fresh checksums, so a
+    /// crash mid-rebuild re-enters through the normal scan even after the
+    /// rebuild's own writes scrub the poison.
+    fn recover_lazy(&self, rec: &mut Recovery<'_>) {
+        let (bsize, window) = (self.params.bsize, self.params.window());
+        let steps: Vec<usize> = (0..window).collect();
         for ib in 0..self.params.nb() {
-            // Newest-first scan (reverse program order, Figure 9 line 1).
-            let mut resume = 0;
-            let mut quarantined = false;
-            if self.strip_poisoned(&poisoned, ib)
-                && !(repair && self.strip_poison_repair(&mut ctx, kind, ib, &poisoned, &mut stats))
-            {
-                // Media fault inside the strip that rung 1 could not (or,
-                // without parity, cannot) localize and reconstruct: poison
-                // reads as a fixed pattern a weak code can collide with,
-                // so no checksum verdict is trusted — quarantine and
-                // rebuild from the initial zeros. The replay stores fresh
-                // checksums, so a crash mid-rebuild re-enters through the
-                // normal scan even after the rebuild's own writes scrub
-                // the poison.
-                stats.regions_quarantined += window as u64;
-                quarantined = true;
-            }
-            if !quarantined {
-                let mut rung1_failed = false;
-                for kb in (0..window).rev() {
-                    stats.regions_checked += 1;
-                    let consistent = lp_core::recovery::region_consistent(
-                        &mut ctx,
-                        &self.handles.table,
-                        self.key(kb, ib),
-                        kind,
-                        self.c.array(),
-                        Self::region_elems(&self.params, ib).map(|(i, j)| self.c.idx(i, j)),
-                    );
-                    if consistent {
-                        resume = kb + 1;
-                        break;
-                    }
-                    stats.regions_inconsistent += 1;
-                    if repair {
-                        // Rung 1 for a silent mismatch: a single flipped
-                        // line of state `kb` is reconstructible from the
-                        // region's parity; anything else falls through.
-                        let indices: Vec<usize> = Self::region_elems(&self.params, ib)
-                            .map(|(i, j)| self.c.idx(i, j))
-                            .collect();
-                        if lp_core::parity::try_mismatch_repair(
-                            &mut ctx,
-                            &self.handles.table,
-                            &self.handles.parity,
-                            self.key(kb, ib),
-                            kind,
-                            self.c.array(),
-                            &indices,
-                        ) {
-                            stats.repaired_lines += 1;
-                            resume = kb + 1;
-                            break;
-                        }
-                        stats.repair_failures += 1;
-                        rung1_failed = true;
-                    }
-                }
-                if resume >= window {
-                    continue; // strip fully durable
-                }
-                if rung1_failed {
-                    stats.escalations += 1;
-                }
-            }
+            let poisoned = self.strip_poisoned(rec, ib);
+            let slots = |_| self.strip_slots(ib);
+            let resume =
+                newest_first(self, rec, ib, &steps, poisoned, slots).unwrap_or_else(|| {
+                    rec.stats.regions_quarantined += window as u64;
+                    0
+                });
             if resume == 0 {
                 // No durable state: zero the strip (its initial value) and
                 // persist the zeros so a crash during recovery re-enters
                 // the same path.
-                let ii = ib * bsize;
-                for i in ii..ii + bsize {
-                    self.c.store_row_run(&mut ctx, i, 0, n, 0.0);
-                }
-                self.c.flush_rows(&mut ctx, ii, bsize);
-                ctx.sfence();
+                self.c.zero_rows(&mut rec.ctx, ib * bsize, bsize);
             }
             for kb in resume..window {
-                let mut sink = if repair {
-                    RecoverySink::with_parity(kind, self.handles.parity)
-                } else {
-                    RecoverySink::new(kind)
-                };
-                self.region_body(&mut ctx, kb, ib, &mut sink);
-                sink.commit(&mut ctx, &self.handles.table, self.key(kb, ib));
-                stats.recomputed_regions += 1;
+                self.recompute(rec, (kb, ib));
             }
         }
-        stats.cycles = ctx.now() - start;
-        stats
     }
 
     /// EagerRecompute recovery: each thread's durable marker names its
@@ -572,33 +407,18 @@ impl Tmm {
     /// have leaked partial stores via natural evictions, so its strip is
     /// rebuilt from scratch up to the preceding `kk`, then the remaining
     /// schedule re-runs eagerly.
-    fn recover_eager(&self, machine: &mut Machine) -> RecoveryStats {
-        let mut stats = RecoveryStats::default();
-        let poisoned = machine.mem().poisoned_lines();
+    fn recover_eager(&self, rec: &mut Recovery<'_>) {
         let owners = self.ownership();
-        let window = self.params.window();
-        // Gather each thread's resume position before taking a ctx borrow.
-        let completed: Vec<usize> = (0..self.params.threads)
-            .map(|t| {
-                let marker = self.handles.thread(t).peek_marker(machine);
-                if marker == 0 {
-                    0
-                } else {
-                    let key = (marker - 1) as usize;
-                    let (kb, ib) = self.key_to_region(key);
-                    let pos_in_kk = owners[t].iter().position(|&b| b == ib).expect("owned");
-                    kb * owners[t].len() + pos_in_kk + 1
-                }
-            })
+        // Each thread's resume position, from the durable markers.
+        let completed: Vec<usize> = owners
+            .iter()
+            .enumerate()
+            .map(|(t, owned)| self.resume_position(owned, rec.peek(self.handles.markers, t)))
             .collect();
-        let mut ctx = machine.ctx(0);
-        let start = ctx.now();
         for (t, owned) in owners.iter().enumerate() {
-            let seq: Vec<(usize, usize)> = (0..window)
-                .flat_map(|kb| owned.iter().map(move |&ib| (kb, ib)))
-                .collect();
+            let seq = self.sequence(owned);
             let done = completed[t];
-            stats.regions_checked += seq.len() as u64;
+            rec.stats.regions_checked += seq.len() as u64;
             // Strips whose durable bytes cannot be trusted: the in-flight
             // region's strip may hold partially-evicted stores, and
             // poisoned or journal-armed strips were hit by (or were
@@ -606,116 +426,64 @@ impl Tmm {
             // committed progress, not for the medium.
             let mut rebuild: Vec<usize> = Vec::new();
             if done < seq.len() {
-                stats.regions_inconsistent += 1;
+                rec.stats.regions_inconsistent += 1;
                 rebuild.push(seq[done].1);
             }
             for &ib in owned {
-                if (self.strip_poisoned(&poisoned, ib) || self.strip_rebuild_armed(&mut ctx, ib))
+                if (self.strip_poisoned(rec, ib) || rec.rebuild_armed(self.key((0, ib))))
                     && !rebuild.contains(&ib)
                 {
-                    stats.regions_quarantined += 1;
+                    rec.stats.regions_quarantined += 1;
                     rebuild.push(ib);
                 }
             }
             for &ib in &rebuild {
                 let pos = owned.iter().position(|&b| b == ib).expect("owned");
-                let kbs_done = self.strip_kbs_done(done, pos, owned.len());
-                self.rebuild_strip(&mut ctx, ib, kbs_done, &mut stats);
-            }
-            if done >= seq.len() {
-                continue;
+                self.rebuild_strip(rec, ib, self.strip_kbs_done(done, pos, owned.len()));
             }
             // Re-run the rest of the schedule eagerly, advancing markers.
-            let tp = self.handles.thread(t);
-            for &(kb, ib) in &seq[done..] {
-                let key = self.key(kb, ib);
-                let mut rs = tp.begin(&mut ctx, key);
-                let mut sink = SchemeSink { tp, rs: &mut rs };
-                self.region_body(&mut ctx, kb, ib, &mut sink);
-                tp.commit(&mut ctx, rs);
-                stats.recomputed_regions += 1;
+            for &region in seq.iter().skip(done) {
+                self.rerun(rec, t, region);
             }
         }
-        stats.cycles = ctx.now() - start;
-        stats
     }
 
     /// WAL recovery: roll back any interrupted transaction per thread,
     /// then re-run the remaining schedule transactionally.
-    fn recover_wal(&self, machine: &mut Machine) -> RecoveryStats {
-        let mut stats = RecoveryStats::default();
-        let poisoned = machine.mem().poisoned_lines();
-        let owners = self.ownership();
-        let window = self.params.window();
-        let mut ctx = machine.ctx(0);
-        let start = ctx.now();
-        for (t, owned) in owners.iter().enumerate() {
-            let tp = self.handles.thread(t);
-            let undone = tp.wal_recover(&mut ctx);
-            if undone > 0 {
-                stats.regions_inconsistent += 1;
-            }
+    fn recover_wal(&self, rec: &mut Recovery<'_>) {
+        for (t, owned) in self.ownership().iter().enumerate() {
+            rec.wal_recover(t..t + 1);
             // The marker must be read after the rollback: the commit logs
             // the marker's undo pair, so undoing an interrupted
             // transaction rewinds the marker with it.
-            let marker = tp.marker(&mut ctx);
-            let seq: Vec<(usize, usize)> = (0..window)
-                .flat_map(|kb| owned.iter().map(move |&ib| (kb, ib)))
-                .collect();
-            let done = if marker == 0 {
-                0
-            } else {
-                let (kb, ib) = self.key_to_region((marker - 1) as usize);
-                let pos = owned.iter().position(|&b| b == ib).expect("owned");
-                kb * owned.len() + pos + 1
-            };
-            stats.regions_checked += seq.len() as u64;
+            let marker = self.handles.thread(t).marker(&mut rec.ctx);
+            let seq = self.sequence(owned);
+            let done = self.resume_position(owned, marker);
+            rec.stats.regions_checked += seq.len() as u64;
             // The undo log restores pre-transaction bytes, but markers and
             // logs vouch for committed progress, not for the medium:
             // strips hit by (or mid-repair from) a media fault are rebuilt
             // from their initial zeros.
             for (pos, &ib) in owned.iter().enumerate() {
-                if self.strip_poisoned(&poisoned, ib) || self.strip_rebuild_armed(&mut ctx, ib) {
-                    stats.regions_quarantined += 1;
-                    let kbs_done = self.strip_kbs_done(done, pos, owned.len());
-                    self.rebuild_strip(&mut ctx, ib, kbs_done, &mut stats);
+                if self.strip_poisoned(rec, ib) || rec.rebuild_armed(self.key((0, ib))) {
+                    rec.stats.regions_quarantined += 1;
+                    self.rebuild_strip(rec, ib, self.strip_kbs_done(done, pos, owned.len()));
                 }
             }
-            for &(kb, ib) in &seq[done..] {
-                let key = self.key(kb, ib);
-                let mut rs = tp.begin(&mut ctx, key);
-                let mut sink = SchemeSink { tp, rs: &mut rs };
-                self.region_body(&mut ctx, kb, ib, &mut sink);
-                tp.commit(&mut ctx, rs);
-                stats.recomputed_regions += 1;
+            for &region in &seq[done..] {
+                self.rerun(rec, t, region);
             }
         }
-        stats.cycles = ctx.now() - start;
-        stats
-    }
-}
-
-/// Convenience driver: build a machine, run the window, verify against the
-/// golden reference. Statistics are snapshotted *before* the end-of-run
-/// drain so the write counts match the paper's in-window methodology.
-pub fn run(cfg: &MachineConfig, params: TmmParams, scheme: Scheme) -> KernelRun {
-    let cfg = cfg.clone().with_cores(params.threads);
-    let mut machine = Machine::new(cfg);
-    let tmm = Tmm::setup(&mut machine, params, scheme).expect("tmm setup");
-    let outcome = machine.run(tmm.plans());
-    let stats = machine.stats();
-    machine.drain_caches();
-    let verified = outcome == Outcome::Completed && tmm.verify(&machine);
-    KernelRun {
-        stats,
-        outcome,
-        verified,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::run;
+    use lp_core::recovery::RecoveryStats;
+    use lp_sim::config::MachineConfig;
+    use lp_sim::machine::Outcome;
     use lp_sim::prelude::CrashTrigger;
 
     fn cfg() -> MachineConfig {
@@ -743,7 +511,7 @@ mod tests {
             Scheme::Eager,
             Scheme::Wal,
         ] {
-            let run = run(&cfg(), params, scheme);
+            let run = run::<Tmm>(&cfg(), params, scheme);
             assert_eq!(run.outcome, Outcome::Completed, "{scheme}");
             assert!(run.verified, "{scheme} produced a wrong product");
         }
@@ -773,10 +541,10 @@ mod tests {
     #[test]
     fn scheme_cost_ordering_matches_figure_10() {
         let params = TmmParams::test_small();
-        let base = run(&cfg(), params, Scheme::Base);
-        let lp = run(&cfg(), params, Scheme::lazy_default());
-        let ep = run(&cfg(), params, Scheme::Eager);
-        let wal = run(&cfg(), params, Scheme::Wal);
+        let base = run::<Tmm>(&cfg(), params, Scheme::Base);
+        let lp = run::<Tmm>(&cfg(), params, Scheme::lazy_default());
+        let ep = run::<Tmm>(&cfg(), params, Scheme::Eager);
+        let wal = run::<Tmm>(&cfg(), params, Scheme::Wal);
         // Execution time: base <= LP < EP, WAL (the EP/WAL order at this
         // tiny scale is noise; Figure 10's paper-scale run separates them).
         assert!(lp.cycles() >= base.cycles());
@@ -805,7 +573,7 @@ mod tests {
 
     #[test]
     fn lp_never_flushes_or_fences() {
-        let run = run(&cfg(), TmmParams::test_small(), Scheme::lazy_default());
+        let run = run::<Tmm>(&cfg(), TmmParams::test_small(), Scheme::lazy_default());
         let t = run.stats.core_totals();
         assert_eq!(t.flushes, 0);
         assert_eq!(t.fences, 0);
@@ -844,8 +612,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for kb in 0..tmm.params.window() {
             for ib in 0..tmm.params.nb() {
-                assert!(seen.insert(tmm.key(kb, ib)));
-                assert_eq!(tmm.key_to_region(tmm.key(kb, ib)), (kb, ib));
+                assert!(seen.insert(Kernel::key(&tmm, (kb, ib))));
             }
         }
         assert!(seen.iter().all(|&k| k < tmm.handles.table.len()));

@@ -74,8 +74,7 @@ fn main() {
             &handles.table,
             r,
             ChecksumKind::Modular,
-            out,
-            r * per..(r + 1) * per,
+            (r * per..(r + 1) * per).map(|i| (out, i)),
         )
     });
     println!("all {regions} regions verify against their checksums: {consistent}");

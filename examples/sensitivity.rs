@@ -7,7 +7,8 @@
 //! ```
 
 use lp_core::scheme::Scheme;
-use lp_kernels::tmm::{self, TmmParams};
+use lp_kernels::driver;
+use lp_kernels::tmm::{Tmm, TmmParams};
 use lp_sim::config::MachineConfig;
 
 fn overhead(x: u64, base: u64) -> String {
@@ -29,9 +30,9 @@ fn main() {
         let cfg = MachineConfig::default()
             .with_nvmm_bytes(32 << 20)
             .with_nvmm_latency_ns(r, w);
-        let base = tmm::run(&cfg, params, Scheme::Base);
-        let lp = tmm::run(&cfg, params, Scheme::lazy_default());
-        let ep = tmm::run(&cfg, params, Scheme::Eager);
+        let base = driver::run::<Tmm>(&cfg, params, Scheme::Base);
+        let lp = driver::run::<Tmm>(&cfg, params, Scheme::lazy_default());
+        let ep = driver::run::<Tmm>(&cfg, params, Scheme::Eager);
         assert!(base.verified && lp.verified && ep.verified);
         println!(
             "{:<16} {:>8} {:>8}",
@@ -47,9 +48,9 @@ fn main() {
         let cfg = MachineConfig::default()
             .with_nvmm_bytes(32 << 20)
             .with_l2_bytes(kb * 1024);
-        let base = tmm::run(&cfg, params, Scheme::Base);
-        let lp = tmm::run(&cfg, params, Scheme::lazy_default());
-        let ep = tmm::run(&cfg, params, Scheme::Eager);
+        let base = driver::run::<Tmm>(&cfg, params, Scheme::Base);
+        let lp = driver::run::<Tmm>(&cfg, params, Scheme::lazy_default());
+        let ep = driver::run::<Tmm>(&cfg, params, Scheme::Eager);
         println!(
             "{:<10} {:>8} {:>8}",
             format!("{kb} KB"),

@@ -52,7 +52,13 @@ fn every_region_is_consistent_after_drain_under_all_checksums() {
         let mut ctx = machine.ctx(0);
         for key in 0..4 {
             assert!(
-                region_consistent(&mut ctx, &table, key, kind, arr, 8 * key..8 * key + 6),
+                region_consistent(
+                    &mut ctx,
+                    &table,
+                    key,
+                    kind,
+                    (8 * key..8 * key + 6).map(|i| (arr, i))
+                ),
                 "region {key} inconsistent after drain under {kind:?}"
             );
         }

@@ -192,12 +192,10 @@ fn parity_poison_repair_bit_identical_for_any_line() {
                 .collect();
             m.mem_mut().poison_line(arr.addr(target * 8).line());
             let poisoned = m.mem_mut().poisoned_lines();
-            let indices: Vec<usize> = (0..values.len()).collect();
+            let slots: Vec<_> = (0..values.len()).map(|i| (arr, i)).collect();
             let v = {
                 let mut ctx = m.ctx(0);
-                try_poison_repair(
-                    &mut ctx, &h.table, &h.parity, 1, kind, arr, &indices, &poisoned,
-                )
+                try_poison_repair(&mut ctx, &h.table, &h.parity, 1, kind, &slots, &poisoned)
             };
             assert_eq!(v, RepairVerdict::Repaired, "{kind} seed {seed}");
             assert!(!m.mem().has_poisoned_lines(), "{kind} seed {seed}");
@@ -238,10 +236,10 @@ fn parity_mismatch_repair_fixes_word_granular_torn_prefixes() {
                 let i = line * 8 + w;
                 m.poke(arr, i, values[i] + 7.25); // the torn, uncommitted bits
             }
-            let indices: Vec<usize> = (0..values.len()).collect();
+            let slots: Vec<_> = (0..values.len()).map(|i| (arr, i)).collect();
             let repaired = {
                 let mut ctx = m.ctx(0);
-                try_mismatch_repair(&mut ctx, &h.table, &h.parity, 1, kind, arr, &indices)
+                try_mismatch_repair(&mut ctx, &h.table, &h.parity, 1, kind, &slots)
             };
             assert!(repaired, "seed {seed}: {torn_words}-word tear not repaired");
             let after: Vec<u64> = (0..values.len())
@@ -266,7 +264,7 @@ fn tmm_output_independent_of_region_order() {
         let cfg = MachineConfig::default()
             .with_cores(threads)
             .with_nvmm_bytes(16 << 20);
-        let run = lp_kernels::tmm::run(&cfg, params, Scheme::lazy_default());
+        let run = lp_kernels::driver::run::<Tmm>(&cfg, params, Scheme::lazy_default());
         assert!(run.verified, "threads={threads}");
     }
 }

@@ -61,10 +61,10 @@ fn write_amplification_ordering_lazy_below_eager_below_wal() {
         seed: 5,
     };
     let small = cfg().with_l1_bytes(4 * 1024).with_l2_bytes(32 * 1024);
-    let base = lp_kernels::tmm::run(&small, params, Scheme::Base);
-    let lp = lp_kernels::tmm::run(&small, params, Scheme::lazy_default());
-    let ep = lp_kernels::tmm::run(&small, params, Scheme::Eager);
-    let wal = lp_kernels::tmm::run(&small, params, Scheme::Wal);
+    let base = lp_kernels::driver::run::<Tmm>(&small, params, Scheme::Base);
+    let lp = lp_kernels::driver::run::<Tmm>(&small, params, Scheme::lazy_default());
+    let ep = lp_kernels::driver::run::<Tmm>(&small, params, Scheme::Eager);
+    let wal = lp_kernels::driver::run::<Tmm>(&small, params, Scheme::Wal);
     assert!(base.verified && lp.verified && ep.verified && wal.verified);
     // LP within a few percent of base.
     let lp_amp = lp.writes() as f64 / base.writes() as f64;
@@ -114,9 +114,9 @@ fn volatility_duration_eager_short_lazy_like_base() {
         seed: 9,
     };
     let small = cfg().with_l1_bytes(4 * 1024).with_l2_bytes(32 * 1024);
-    let base = lp_kernels::tmm::run(&small, params, Scheme::Base);
-    let lp = lp_kernels::tmm::run(&small, params, Scheme::lazy_default());
-    let ep = lp_kernels::tmm::run(&small, params, Scheme::Eager);
+    let base = lp_kernels::driver::run::<Tmm>(&small, params, Scheme::Base);
+    let lp = lp_kernels::driver::run::<Tmm>(&small, params, Scheme::lazy_default());
+    let ep = lp_kernels::driver::run::<Tmm>(&small, params, Scheme::Eager);
     let (b, l, e) = (
         base.stats.mem.max_volatility,
         lp.stats.mem.max_volatility,
