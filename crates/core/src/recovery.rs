@@ -310,19 +310,6 @@ impl<'a> Recovery<'a> {
         self.stats.recomputed_regions += 1;
     }
 
-    /// Whether region `key` over `slots` verifies against its checksum
-    /// (no counters change).
-    pub fn consistent<T: Scalar>(&mut self, key: usize, slots: &[Slot<T>]) -> bool {
-        let kind = self.kind();
-        region_consistent(
-            &mut self.ctx,
-            &self.handles.table,
-            key,
-            kind,
-            slots.iter().copied(),
-        )
-    }
-
     /// Audit region `key` over `slots`: verify it and, on a mismatch,
     /// try the rung-1 parity repair when the scheme has parity. Returns
     /// whether the region holds its committed data (consistent or
@@ -330,7 +317,8 @@ impl<'a> Recovery<'a> {
     /// checked, and as inconsistent on a mismatch.
     pub fn audit<T: Scalar>(&mut self, key: usize, slots: &[Slot<T>], failed: &mut bool) -> bool {
         self.stats.regions_checked += 1;
-        if self.consistent(key, slots) {
+        let (kind, table) = (self.kind(), &self.handles.table);
+        if region_consistent(&mut self.ctx, table, key, kind, slots.iter().copied()) {
             return true;
         }
         self.stats.regions_inconsistent += 1;

@@ -3,8 +3,7 @@
 //! deterministic input generation, and run-result plumbing.
 
 use lp_core::parity::Slot;
-use lp_core::recovery::range_poisoned;
-pub use lp_core::recovery::{EagerOnlySink, RecoverySink, StoreSink};
+use lp_core::recovery::{range_poisoned, StoreSink};
 use lp_core::scheme::{RegionSession, ThreadPersist};
 use lp_sim::addr::LineAddr;
 use lp_sim::core::CoreCtx;

@@ -434,7 +434,7 @@ impl Fft {
 
     /// Whether region `(stage, chunk)` matches its stored checksum. The
     /// fold charges compute once per re/im pair, so it is not
-    /// [`Recovery::consistent`]'s one charge per element.
+    /// [`lp_core::recovery::region_consistent`]'s one charge per element.
     fn chunk_consistent(&self, rec: &mut Recovery<'_>, stage: usize, chunk: usize) -> bool {
         let (len, kind) = (self.params.chunk_len(), rec.kind());
         let dst = self.dst(stage);

@@ -8,9 +8,8 @@
 //! round multiplies `flushes` and pays one fence per round instead of
 //! one per rebuild.
 
-use lp_core::recovery::RecoveryStats;
+use lp_core::recovery::{EagerOnlySink, RecoveryStats, StoreSink};
 use lp_core::scheme::Scheme;
-use lp_kernels::common::{EagerOnlySink, StoreSink};
 use lp_kernels::gauss::{Gauss, GaussParams};
 use lp_kernels::tmm::{Tmm, TmmParams};
 use lp_sim::config::MachineConfig;
