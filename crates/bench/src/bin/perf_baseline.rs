@@ -117,10 +117,6 @@ fn measure<T>(mut f: impl FnMut() -> T) -> (f64, f64, f64, T) {
     )
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn render_json(quick: bool, entries: &[Entry]) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"BENCH_10\",\n");
@@ -132,7 +128,10 @@ fn render_json(quick: bool, entries: &[Entry]) -> String {
     out.push_str("  \"entries\": [\n");
     for (i, e) in entries.iter().enumerate() {
         out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{}\",\n", json_escape(&e.name)));
+        out.push_str(&format!(
+            "      \"name\": \"{}\",\n",
+            lp_sim::json::escape(&e.name)
+        ));
         out.push_str(&format!("      \"wall_secs\": {:.6},\n", e.wall_secs));
         out.push_str(&format!("      \"rate\": {:.3},\n", e.rate));
         out.push_str(&format!("      \"rate_unit\": \"{}\"", e.rate_unit));
@@ -141,7 +140,7 @@ fn render_json(quick: bool, entries: &[Entry]) -> String {
             let fields: Vec<String> = e
                 .detail
                 .iter()
-                .map(|(k, v)| format!("      \"{}\": {:.6}", json_escape(k), v))
+                .map(|(k, v)| format!("      \"{}\": {:.6}", lp_sim::json::escape(k), v))
                 .collect();
             out.push_str(&fields.join(",\n"));
         }

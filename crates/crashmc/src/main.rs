@@ -265,18 +265,6 @@ fn print_report(r: &McReport, expect_flagged: bool) {
     }
 }
 
-/// Minimal JSON string escaping (the report emits only ASCII names).
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 fn tally_json(t: &lp_crashmc::mc::FaultTally) -> String {
     format!(
         concat!(
@@ -328,10 +316,10 @@ fn campaign_json(reports: &[McReport], seed: u64) -> String {
                 "\"dedup_hits\":{},\"dedup_rate\":{:.4},\"replay_saved_ops\":{},",
                 "\"tally\":{}}}"
             ),
-            json_escape(&r.case_name),
-            json_escape(&r.mode),
+            lp_sim::json::escape(&r.case_name),
+            lp_sim::json::escape(&r.mode),
             r.k,
-            json_escape(&r.faults),
+            lp_sim::json::escape(&r.faults),
             r.points_total,
             r.points.len(),
             r.max_census,

@@ -73,6 +73,7 @@ pub fn default_targets(root: &Path) -> std::io::Result<Vec<PathBuf>> {
         "wal.rs",
         "ep.rs",
         "recovery.rs",
+        "parity.rs",
         "table.rs",
         "table/hashed.rs",
     ] {
@@ -133,6 +134,11 @@ mod tests {
         assert!(names.contains(&"wal.rs".to_string()), "{names:?}");
         assert!(names.contains(&"ep.rs".to_string()), "{names:?}");
         assert!(names.contains(&"tmm.rs".to_string()), "{names:?}");
+        // The recovery ladder: the session and sinks, rung 1's
+        // reconstruct-and-write-back, and the generic kernel ladder.
+        assert!(names.contains(&"recovery.rs".to_string()), "{names:?}");
+        assert!(names.contains(&"parity.rs".to_string()), "{names:?}");
+        assert!(names.contains(&"kernel.rs".to_string()), "{names:?}");
         assert!(targets.len() >= 8, "{names:?}");
     }
 

@@ -290,22 +290,9 @@ impl fmt::Display for LintReport {
     }
 }
 
-/// Minimal JSON string escaping.
+/// `s` as a quoted JSON string.
 fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", lp_sim::json::escape(s))
 }
 
 #[cfg(test)]

@@ -56,6 +56,7 @@ pub mod config;
 pub mod core;
 pub mod debug;
 pub mod fault;
+pub mod json;
 pub mod machine;
 pub mod mc;
 pub mod mem;
