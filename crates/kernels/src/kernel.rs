@@ -10,7 +10,7 @@
 //! ([`Kernel::run_region`]), the recovery session ([`recover`]), rung-2
 //! recompute ([`Kernel::recompute`]), EP/WAL re-execution and rebuilds
 //! ([`Kernel::rerun`], [`Kernel::rebuild`]) and the newest-first scan
-//! three of the five kernels recover with ([`newest_first`]).
+//! three of the five kernels recover with (`newest_first`).
 
 use crate::driver::Scale;
 use lp_core::parity::{RepairVerdict, Slot};
@@ -154,7 +154,7 @@ pub fn plans<K: Kernel>(k: &K) -> Vec<ThreadPlan<'static>> {
 /// A phased schedule: in each of `steps` steps every thread runs the
 /// regions of its `owners` units that `keep` admits, then all threads meet
 /// at a barrier, because the next step reads what this one wrote.
-pub fn phased(
+pub(crate) fn phased(
     owners: &[Vec<usize>],
     steps: usize,
     keep: impl Fn(Region) -> bool,
@@ -202,7 +202,7 @@ pub fn recover<K: Kernel>(k: &K, machine: &mut Machine) -> RecoveryStats {
 /// can collide with. Returns the step replay resumes from (`0`: from the
 /// unit's initial state), or `None` when the unit is quarantined and must
 /// be rebuilt from its initial state.
-pub fn newest_first<K: Kernel>(
+pub(crate) fn newest_first<K: Kernel>(
     k: &K,
     rec: &mut Recovery<'_>,
     unit: usize,
