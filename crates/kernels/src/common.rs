@@ -1,6 +1,7 @@
 //! Shared infrastructure for the simulated kernels: persistent matrices,
-//! store sinks (normal execution vs. eager recovery), thread partitioning,
-//! deterministic input generation, and run-result plumbing.
+//! the normal-execution store sink (the recovery sinks live in
+//! [`lp_core::recovery`]), thread partitioning, deterministic input
+//! generation, and run-result plumbing.
 
 use lp_core::parity::Slot;
 use lp_core::recovery::{range_poisoned, StoreSink};
