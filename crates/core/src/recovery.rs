@@ -314,18 +314,25 @@ impl<'a> Recovery<'a> {
     /// try the rung-1 parity repair when the scheme has parity. Returns
     /// whether the region holds its committed data (consistent or
     /// repaired); a failed repair sets `failed`. Counts the region as
-    /// checked, and as inconsistent on a mismatch.
-    pub fn audit<T: Scalar>(&mut self, key: usize, slots: &[Slot<T>], failed: &mut bool) -> bool {
+    /// checked, and as inconsistent on a mismatch. The verification
+    /// streams `slots`; only a repair attempt collects them.
+    pub fn audit<T: Scalar>(
+        &mut self,
+        key: usize,
+        slots: impl IntoIterator<Item = Slot<T>> + Clone,
+        failed: &mut bool,
+    ) -> bool {
         self.stats.regions_checked += 1;
         let (kind, table) = (self.kind(), &self.handles.table);
-        if region_consistent(&mut self.ctx, table, key, kind, slots.iter().copied()) {
+        if region_consistent(&mut self.ctx, table, key, kind, slots.clone()) {
             return true;
         }
         self.stats.regions_inconsistent += 1;
         if !self.repairs() {
             return false;
         }
-        if self.mismatch_repair(key, slots) {
+        let slots: Vec<Slot<T>> = slots.into_iter().collect();
+        if self.mismatch_repair(key, &slots) {
             return true;
         }
         *failed = true;

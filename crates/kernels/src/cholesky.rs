@@ -346,7 +346,7 @@ impl Cholesky {
 
     /// The elements of region `(j, block)` in fold (store) order:
     /// diagonal first when owned, then the rows below it.
-    fn slots(&self, j: usize, block: usize) -> Vec<Slot<f64>> {
+    fn slots(&self, j: usize, block: usize) -> impl Iterator<Item = Slot<f64>> + Clone + '_ {
         self.l
             .slots(Self::region_rows(&self.params, j, block), j..j + 1)
     }
@@ -371,7 +371,8 @@ impl Cholesky {
     /// rather than silently skipping the rung.
     fn poison_repair(&self, rec: &mut Recovery<'_>, block: usize) -> bool {
         for j in 0..self.params.col_window {
-            match rec.poison_repair(self.key((j, block)), &self.slots(j, block)) {
+            let slots: Vec<Slot<f64>> = self.slots(j, block).collect();
+            match rec.poison_repair(self.key((j, block)), &slots) {
                 RepairVerdict::Repaired => return true,
                 RepairVerdict::Failed => break,
                 // This column's region misses the poisoned line (columns
@@ -411,7 +412,7 @@ impl Cholesky {
         } else {
             let mut failed = false;
             let bad: Vec<usize> = (0..window)
-                .filter(|&j| !rec.audit(self.key((j, block)), &self.slots(j, block), &mut failed))
+                .filter(|&j| !rec.audit(self.key((j, block)), self.slots(j, block), &mut failed))
                 .collect();
             if failed {
                 rec.stats.escalations += 1;

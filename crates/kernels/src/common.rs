@@ -235,14 +235,17 @@ impl PMatrix {
     }
 
     /// The elements `rows × cols`, row-major, as region slots.
-    pub fn slots(
-        &self,
-        rows: impl IntoIterator<Item = usize>,
+    pub fn slots<'a, R>(
+        &'a self,
+        rows: R,
         cols: Range<usize>,
-    ) -> Vec<Slot<f64>> {
+    ) -> impl Iterator<Item = Slot<f64>> + Clone + 'a
+    where
+        R: IntoIterator<Item = usize>,
+        R::IntoIter: Clone + 'a,
+    {
         rows.into_iter()
-            .flat_map(|i| cols.clone().map(move |j| (self.data, self.idx(i, j))))
-            .collect()
+            .flat_map(move |i| cols.clone().map(move |j| (self.data, self.idx(i, j))))
     }
 }
 

@@ -195,20 +195,20 @@ pub fn recover<K: Kernel>(k: &K, machine: &mut Machine) -> RecoveryStats {
 /// the unit's durable state (Figure 9's reverse scan), and replay resumes
 /// after it.
 ///
-/// `steps` are the unit's regions in program order, `slots(step)` a
-/// region's elements in fold order, and `poisoned` whether a poisoned
+/// `steps` are the unit's regions in program order, `slots(step)` streams
+/// a region's elements in fold order, and `poisoned` whether a poisoned
 /// line lies in the unit's data. A poisoned unit is trusted only when
 /// rung 1 repairs it, since poison reads as a fixed pattern a weak code
 /// can collide with. Returns the step replay resumes from (`0`: from the
 /// unit's initial state), or `None` when the unit is quarantined and must
 /// be rebuilt from its initial state.
-pub(crate) fn newest_first<K: Kernel>(
+pub(crate) fn newest_first<K: Kernel, I: IntoIterator<Item = Slot<f64>> + Clone>(
     k: &K,
     rec: &mut Recovery<'_>,
     unit: usize,
     steps: &[usize],
     poisoned: bool,
-    slots: impl Fn(usize) -> Vec<Slot<f64>>,
+    slots: impl Fn(usize) -> I,
 ) -> Option<usize> {
     if poisoned && !(rec.repairs() && poison_repaired(k, rec, unit, steps, &slots)) {
         return None;
@@ -217,7 +217,7 @@ pub(crate) fn newest_first<K: Kernel>(
     let resume = steps
         .iter()
         .rev()
-        .find(|&&s| rec.audit(k.key((s, unit)), &slots(s), &mut failed))
+        .find(|&&s| rec.audit(k.key((s, unit)), slots(s), &mut failed))
         .map_or(0, |&s| s + 1);
     if failed {
         rec.stats.escalations += 1;
@@ -228,15 +228,16 @@ pub(crate) fn newest_first<K: Kernel>(
 /// Rung 1 for a poisoned unit, newest step first: stale or uncommitted
 /// steps fail re-verification and the scan goes on; a step whose region
 /// misses the poisoned line ends it. Escalates when nothing repaired.
-fn poison_repaired<K: Kernel>(
+fn poison_repaired<K: Kernel, I: IntoIterator<Item = Slot<f64>>>(
     k: &K,
     rec: &mut Recovery<'_>,
     unit: usize,
     steps: &[usize],
-    slots: &impl Fn(usize) -> Vec<Slot<f64>>,
+    slots: &impl Fn(usize) -> I,
 ) -> bool {
     for &s in steps.iter().rev() {
-        match rec.poison_repair(k.key((s, unit)), &slots(s)) {
+        let region: Vec<Slot<f64>> = slots(s).into_iter().collect();
+        match rec.poison_repair(k.key((s, unit)), &region) {
             RepairVerdict::Repaired => return true,
             RepairVerdict::Failed => {}
             RepairVerdict::Clean => break,

@@ -284,7 +284,10 @@ impl Tmm {
 
     /// `(i, j)` store order of region `(·, ib)`: the `jj → i → j` loop
     /// nest of Figure 8. Checksum folds follow exactly this order.
-    pub fn region_elems(params: &TmmParams, ib: usize) -> impl Iterator<Item = (usize, usize)> {
+    pub fn region_elems(
+        params: &TmmParams,
+        ib: usize,
+    ) -> impl Iterator<Item = (usize, usize)> + Clone {
         let (n, bsize) = (params.n, params.bsize);
         let ii = ib * bsize;
         (0..n).step_by(bsize).flat_map(move |jj| {
@@ -320,10 +323,8 @@ impl Tmm {
     }
 
     /// The slots of strip `ib`'s regions, in fold order.
-    fn strip_slots(&self, ib: usize) -> Vec<Slot<f64>> {
-        Self::region_elems(&self.params, ib)
-            .map(|(i, j)| (self.c.array(), self.c.idx(i, j)))
-            .collect()
+    fn strip_slots(&self, ib: usize) -> impl Iterator<Item = Slot<f64>> + Clone + '_ {
+        Self::region_elems(&self.params, ib).map(|(i, j)| (self.c.array(), self.c.idx(i, j)))
     }
 
     /// Whether any line of strip `ib`'s data spans is poisoned.
