@@ -75,8 +75,13 @@ pub enum Scale {
 impl Scale {
     /// This scale's entry of a kernel's `[micro, test, bench, paper]`
     /// parameter constructors.
-    pub fn pick<P>(self, params: [fn() -> P; 4]) -> P {
-        params[self as usize]()
+    pub fn pick<P>(self, [micro, test, bench, paper]: [fn() -> P; 4]) -> P {
+        match self {
+            Scale::Micro => micro(),
+            Scale::Test => test(),
+            Scale::Bench => bench(),
+            Scale::Paper => paper(),
+        }
     }
 }
 
@@ -217,6 +222,13 @@ mod tests {
             let r = run_kernel(kernel, Scale::Test, &cfg, Scheme::lazy_default());
             assert!(r.verified, "{kernel}");
         }
+    }
+
+    #[test]
+    fn pick_maps_each_scale_to_its_own_constructor() {
+        let p: [fn() -> u8; 4] = [|| 0, || 1, || 2, || 3];
+        let scales = [Scale::Micro, Scale::Test, Scale::Bench, Scale::Paper];
+        assert_eq!(scales.map(|s| s.pick(p)), [0, 1, 2, 3]);
     }
 
     #[test]
