@@ -417,12 +417,7 @@ impl<'a> Recovery<'a> {
 
     /// Untimed read of the durable image (like [`Machine::peek`]).
     pub fn peek<T: Scalar>(&self, arr: PArray<T>, i: usize) -> T {
-        let mut bits = [0u8; 8];
-        self.ctx
-            .mem
-            .nvmm()
-            .peek_bytes(arr.addr(i), &mut bits[..T::SIZE]);
-        T::from_bits64(u64::from_le_bytes(bits))
+        self.ctx.mem.nvmm().peek(arr, i)
     }
 }
 

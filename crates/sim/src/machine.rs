@@ -202,10 +202,7 @@ impl Machine {
     ///
     /// Panics if `i` is out of bounds.
     pub fn peek<T: Scalar>(&self, arr: PArray<T>, i: usize) -> T {
-        let addr = arr.addr(i);
-        let mut bits = [0u8; 8];
-        self.mem.nvmm().peek_bytes(addr, &mut bits[..T::SIZE]);
-        T::from_bits64(u64::from_le_bytes(bits))
+        self.mem.nvmm().peek(arr, i)
     }
 
     /// Untimed read of the whole array from the durable image.

@@ -326,6 +326,18 @@ impl Nvmm {
         self.poisoned.len()
     }
 
+    /// Untimed typed read of element `i` of `arr` (setup/inspection
+    /// path).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of bounds.
+    pub fn peek<T: Scalar>(&self, arr: PArray<T>, i: usize) -> T {
+        let mut bits = [0u8; 8];
+        self.peek_bytes(arr.addr(i), &mut bits[..T::SIZE]);
+        T::from_bits64(u64::from_le_bytes(bits))
+    }
+
     /// Read `N` bytes at an arbitrary address (setup/inspection path).
     pub fn peek_bytes(&self, addr: Addr, out: &mut [u8]) {
         let base = addr.0 as usize;
