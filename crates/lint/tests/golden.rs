@@ -115,6 +115,35 @@ fn each_efficiency_fixture_flags_its_own_rule() {
     }
 }
 
+/// Bugs lp-lint does not catch yet: a fixture under
+/// `fixtures/known_misses/`, the rule that should flag it, and the tree
+/// code of the same shape.
+const KNOWN_MISSES: &[(&str, lp_lint::SRule, &str)] = &[(
+    "w4_trait_rebuild",
+    lp_lint::SRule::W4MissedCoalescing,
+    "the per-block Kernel::rebuild in Conv2d::recover_marker_based",
+)];
+
+/// Pins each known miss, so this fails once lp-lint closes the gap: then
+/// move the fixture up into `fixtures/`, list it in
+/// `each_efficiency_fixture_flags_its_own_rule`, and fix the tree code.
+#[test]
+fn known_misses_stay_recorded() {
+    for &(stem, rule, tree) in KNOWN_MISSES {
+        let report = analyze_source(
+            &fixture(&format!("known_misses/{stem}.rs")),
+            &format!("fixtures/known_misses/{stem}.rs"),
+            stem,
+            &LintConfig::default(),
+        );
+        assert!(
+            !report.findings.iter().any(|v| v.rule == rule),
+            "lp-lint now flags {stem} ({}): promote the fixture and fix {tree}:\n{report}",
+            rule.id()
+        );
+    }
+}
+
 #[test]
 fn clean_tree_has_zero_findings() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
