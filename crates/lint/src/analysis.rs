@@ -367,6 +367,13 @@ fn summary_flags(nodes: &[Node], cfg: &LintConfig, is_wal: bool, s: &mut FnSumma
     }
 }
 
+/// Whether `f` is WAL code — in a WAL-flavored file or under a
+/// `context(wal)` directive — the evidence `log`/`header` targets need to
+/// classify as the undo log.
+fn is_wal(parsed: &ParsedFile, f: &FnItem) -> bool {
+    parsed.is_wal || f.context == FnContext::Wal
+}
+
 /// Compute summaries for every function in a parsed file. Summaries are
 /// depth-0: each body is solved with an *empty* summary table, so helper
 /// chains degrade to the conservative unknown-call treatment rather than
@@ -378,17 +385,18 @@ pub(crate) fn summarize_file(parsed: &ParsedFile, cfg: &LintConfig) -> Summaries
         if f.context == FnContext::Ignore {
             continue;
         }
+        let is_wal = is_wal(parsed, f);
         let mut s = FnSummary::default();
-        summary_flags(&f.body, cfg, parsed.is_wal, &mut s);
+        summary_flags(&f.body, cfg, is_wal, &mut s);
         let mut facts = FnFacts::default();
-        gather_facts(&f.body, cfg, parsed.is_wal, &mut facts);
+        gather_facts(&f.body, cfg, is_wal, &mut facts);
         let mut sink = Vec::new();
         let mut ev = Eval {
             cfg,
             file: "",
             function: &f.name,
             context: f.context,
-            is_wal_file: parsed.is_wal,
+            is_wal_file: is_wal,
             facts,
             impl_ty: f.name.split_once("::").map(|(t, _)| t.to_string()),
             bindings: &f.bindings,
@@ -1112,14 +1120,15 @@ pub(crate) fn analyze_parsed(
         if f.context == FnContext::Ignore {
             continue;
         }
+        let is_wal = is_wal(parsed, f);
         let mut facts = FnFacts::default();
-        gather_facts(&f.body, cfg, parsed.is_wal, &mut facts);
+        gather_facts(&f.body, cfg, is_wal, &mut facts);
         let mut ev = Eval {
             cfg,
             file: file_label,
             function: &f.name,
             context: f.context,
-            is_wal_file: parsed.is_wal,
+            is_wal_file: is_wal,
             facts,
             impl_ty: f.name.split_once("::").map(|(t, _)| t.to_string()),
             bindings: &f.bindings,
@@ -1250,6 +1259,23 @@ mod tests {
         );
         assert!(r.flags(SRule::S3OverwriteBeforeLogFence), "{r}");
         assert_eq!(r.findings[0].line, 2);
+    }
+
+    #[test]
+    fn wal_context_directive_is_wal_evidence() {
+        // A non-`wal` file stem: only the directive marks `log` as the
+        // undo log, so the data store ahead of its fence is S3.
+        let r = lint(
+            "// lp-lint: context(wal)\n\
+             fn commit(ctx: &mut C) {\n\
+               ctx.store(arr, 0, v);\n\
+               ctx.store(log, 0, old);\n\
+               ctx.clflushopt(log.addr(0));\n\
+               ctx.sfence();\n\
+             }",
+        );
+        assert!(r.flags(SRule::S3OverwriteBeforeLogFence), "{r}");
+        assert_eq!(r.findings[0].line, 3);
     }
 
     #[test]
