@@ -12,8 +12,6 @@
 //! "region never executed" from "region executed with some checksum"
 //! (Section IV discusses using NaN or −1 for this purpose).
 
-pub mod hashed;
-
 use lp_sim::core::CoreCtx;
 use lp_sim::machine::Machine;
 use lp_sim::mem::{OutOfPersistentMemory, PArray};
