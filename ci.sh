@@ -25,7 +25,7 @@ rm -f /tmp/lp_check_muts.txt
 echo "== lp-crashmc smoke: kernels recover on every sampled crash state (multi-threaded) =="
 cargo run --release -q -p lp-crashmc -- --budget smoke --threads 8
 
-echo "== lp-crashmc smoke: every discipline mutation is flagged (multi-threaded) =="
+echo "== lp-crashmc smoke: every mutation rig is caught under its own fault class (multi-threaded) =="
 cargo run --release -q -p lp-crashmc -- --mutations --budget exhaustive --threads 8
 
 echo "== lp-crashmc smoke: seeded fault campaign (torn+media+nested), deterministic across thread counts =="
@@ -77,9 +77,6 @@ cmp /tmp/lp_scale_t1.txt /tmp/lp_scale_t8.txt \
   || { echo "reports differ between threads 1 and 8"; exit 1; }
 rm -f /tmp/lp_scale_t1.txt /tmp/lp_scale_t8.txt
 
-echo "== lp-crashmc smoke: every fault mutation is flagged =="
-cargo run --release -q -p lp-crashmc -- --fault-mutations --threads 2
-
 echo "== lp-lint: clean tree must have zero findings (S1-S7, W1-W4), within the wall-time budget =="
 lint_t0=$(date +%s%N)
 cargo run --release -q -p lp-lint -- --all
@@ -87,10 +84,10 @@ lint_ms=$(( ($(date +%s%N) - lint_t0) / 1000000 ))
 echo "lp-lint --all wall time: ${lint_ms}ms (budget 2000ms)"
 [ "$lint_ms" -le 2000 ] || { echo "lp-lint exceeded its 2s wall-time budget"; exit 1; }
 
-echo "== lp-lint: differential vs the mutation rigs + efficiency fixtures (control clean, S7 twin included) =="
+echo "== lp-lint: differential vs the mutation-rig registry + efficiency fixtures (control clean, S7 twin included) =="
 cargo run --release -q -p lp-lint -- --differential | tee /tmp/lp_lint_diff.txt
 grep -q "parity_before_data.*S7" /tmp/lp_lint_diff.txt \
-  || { echo "S7 fixture (parity_before_data) missing from the differential"; exit 1; }
+  || { echo "S7 rig (parity_before_data) missing from the differential"; exit 1; }
 rm -f /tmp/lp_lint_diff.txt
 
 echo "== lp-lint: cost model vs measured flush/fence counters, all kernels x schemes =="

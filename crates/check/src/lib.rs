@@ -33,9 +33,10 @@
 //! disciplines still yield correct simulated output — `lp-check` exists to
 //! flag exactly those latent bugs before real hardware does.
 //!
-//! Run the whole suite (clean kernels × schemes + mutation tests) with the
-//! `lp-check` binary, or audit one workload programmatically via
-//! [`check_kernel`].
+//! Run the whole suite (clean kernels × schemes + the mutation rigs of
+//! [`lp_crashmc::rigs`], each of which must trip exactly its declared
+//! rule) with the `lp-check` binary, or audit one workload
+//! programmatically via [`check_kernel`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -1,6 +1,6 @@
 //! `lp-check` CLI: audit every shipped kernel under every scheme with the
-//! persistency sanitizer, then run the mutation suite that proves the
-//! rules fire when the discipline is broken.
+//! persistency sanitizer, then audit the mutation-rig registry, which
+//! proves the rules fire when the discipline is broken.
 //!
 //! ```text
 //! lp-check               # clean runs + mutation suite (test scale)
@@ -10,7 +10,8 @@
 //! ```
 //!
 //! Exits non-zero if any clean run reports a violation (or fails output
-//! verification), or if any mutation escapes its expected rule.
+//! verification), or if any rig's audit flags other than exactly its
+//! declared rule.
 
 use lp_check::{check_kernel, default_config, default_schemes, mutations};
 use lp_kernels::driver::{KernelId, Scale};
@@ -67,19 +68,18 @@ fn main() {
     }
 
     if run_mutations {
-        println!("== mutation suite: broken disciplines the checker must flag ==");
+        println!("== mutation rigs: each must trip exactly its declared rule ==");
         for outcome in mutations::run_all() {
-            let flagged = outcome.flagged();
-            if !flagged {
+            let holds = outcome.holds();
+            if !holds {
                 failures += 1;
             }
-            println!(
-                "  {:24} expects {} ... {}",
-                outcome.name,
-                outcome.expected,
-                if flagged { "flagged" } else { "MISSED" }
-            );
-            if verbose || !flagged {
+            let (expects, verdict) = match outcome.expected {
+                Some(rule) => (rule.id(), if holds { "flagged" } else { "MISSED" }),
+                None => ("none", if holds { "clean" } else { "FALSE POSITIVE" }),
+            };
+            println!("  {:30} expects {expects} ... {verdict}", outcome.name);
+            if verbose || !holds {
                 for v in &outcome.report.violations {
                     println!("    {v}");
                 }

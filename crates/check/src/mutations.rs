@@ -1,467 +1,124 @@
-//! Mutation tests: deliberately broken persistency disciplines the checker
-//! must flag, proving each rule has teeth.
+//! Mutation tests: the sanitizer audits every rig of the shared registry
+//! ([`lp_crashmc::rigs`]) and must flag exactly the rule each rig
+//! declares, proving each rule has teeth; a disciplined control must stay
+//! silent.
 //!
-//! Each mutation builds a tiny synthetic workload straight from the
-//! `lp-sim`/`lp-core` primitives, breaks the discipline in exactly one way
-//! (skip a fold, skip a fence, reorder WAL, …), runs it under the checker,
-//! and records which rule it expects to fire. Under the simulator's ADR
-//! model several of these mutants still produce correct *simulated* output
-//! — the point is that the checker catches the latent discipline bug that
-//! real hardware would punish.
+//! Under the simulator's ADR model several rigs still produce correct
+//! *simulated* output — the point is that the checker catches the latent
+//! discipline bug that real hardware would punish.
 
 use std::sync::{Arc, Mutex};
 
-use lp_core::checksum::{ChecksumKind, RunningChecksum};
-use lp_core::parity::lane_of;
 use lp_core::scheme::{Scheme, SchemeHandles};
 use lp_core::track::{RangeRole, TrackedRange};
+use lp_crashmc::mc::PreparedCase;
+use lp_crashmc::rigs::{self, Rig};
 use lp_sim::config::MachineConfig;
-use lp_sim::machine::{Machine, ThreadPlan};
-use lp_sim::mem::PArray;
+use lp_sim::machine::Machine;
 use lp_sim::prelude::CrashTrigger;
 
 use crate::checker::Checker;
 use crate::report::{Rule, ViolationReport};
 
-/// One mutation's outcome.
+/// The memory operation after which the R7 rig's forward run crashes,
+/// mid-region, before its recovery is audited.
+const RECOVERY_CRASH_POINT: u64 = 5;
+
+/// One rig's audit.
 #[derive(Debug)]
 pub struct MutationOutcome {
-    /// Mutation name (stable identifier).
-    pub name: &'static str,
-    /// The rule the mutation is designed to violate.
-    pub expected: Rule,
-    /// The checker's verdict over the mutated run.
+    /// The rig's name.
+    pub name: String,
+    /// The rule the rig must trip, `None` when the checker must stay
+    /// silent.
+    pub expected: Option<Rule>,
+    /// The checker's verdict.
     pub report: ViolationReport,
 }
 
 impl MutationOutcome {
-    /// Whether the checker flagged the expected rule.
-    pub fn flagged(&self) -> bool {
-        self.report.flags(self.expected)
+    /// Whether the checker flagged exactly the expected rule (nothing,
+    /// when none is expected).
+    pub fn holds(&self) -> bool {
+        self.report
+            .counts()
+            .into_iter()
+            .map(|(rule, _)| rule)
+            .eq(self.expected)
     }
 }
 
-/// The synthetic rig every mutation runs on: a 64-element protected array
-/// plus the scheme's own structures, all tracked.
-struct Rig {
-    machine: Machine,
-    arr: PArray<f64>,
-    handles: SchemeHandles,
-    ranges: Vec<TrackedRange>,
-}
-
-fn rig(scheme: Scheme, cores: usize) -> Rig {
-    let mut machine = Machine::new(
-        MachineConfig::default()
-            .with_cores(cores)
-            .with_nvmm_bytes(1 << 20),
-    );
-    let arr = machine.alloc::<f64>(64).expect("rig array");
-    let handles = SchemeHandles::alloc(&mut machine, scheme, 16, cores, 64).expect("rig handles");
-    let mut ranges = vec![TrackedRange::of("data", arr, RangeRole::Protected)];
-    ranges.extend(handles.ranges());
-    Rig {
-        machine,
-        arr,
-        handles,
-        ranges,
-    }
-}
-
-/// Run `plans` on `machine` with a fresh checker installed; return the
+/// Run `run` on `machine` with a fresh checker installed; return the
 /// verdict.
-fn audit(
-    mut machine: Machine,
+fn watch(
+    machine: &mut Machine,
     scheme: Scheme,
     ranges: Vec<TrackedRange>,
-    plans: Vec<ThreadPlan<'static>>,
     label: &str,
+    run: impl FnOnce(&mut Machine),
 ) -> ViolationReport {
     let checker = Arc::new(Mutex::new(Checker::new(scheme, ranges, label)));
     machine.set_observer(checker.clone());
-    machine.run(plans);
+    run(machine);
     machine.clear_observer();
-    let report = checker.lock().unwrap().report();
+    let report = checker
+        .lock()
+        .expect("no observer panicked holding the checker")
+        .report();
     report
 }
 
-/// A Lazy region that "forgets" to fold one store into its running
-/// checksum before persisting it (rule R2).
-pub fn lp_skip_fold() -> MutationOutcome {
-    let kind = ChecksumKind::Modular;
-    let scheme = Scheme::Lazy(kind);
-    let Rig {
-        machine,
-        arr,
-        handles,
-        ranges,
-    } = rig(scheme, 1);
-    let table = handles.table;
-    let mut plans = machine.plans();
-    plans[0].region(move |ctx| {
-        ctx.region_begin(7);
-        let mut ck = RunningChecksum::new(kind);
-        for i in 0..8 {
-            let v = (i + 1) as f64;
-            ctx.store(arr, i, v);
-            if i != 3 {
-                // The forgotten UpdateCheckSum() of Figure 8.
-                ck.update(v.to_bits());
-            }
-        }
-        table.store(ctx, 7, ck.value());
-        ctx.region_end();
+/// Audit `rig`'s crash-free run. The R7 rig's bug lives in recovery, so
+/// its run crashes mid-region and the audit covers its own recovery.
+///
+/// # Panics
+///
+/// Panics if the rig declares an unknown rule id.
+pub fn audit(rig: &Rig) -> MutationOutcome {
+    let expected = rig.check.map(|id| {
+        Rule::from_id(id).unwrap_or_else(|| panic!("{}: unknown rule {id}", rig.case.name))
     });
-    MutationOutcome {
-        name: "lp_skip_fold",
-        expected: Rule::R2,
-        report: audit(machine, scheme, ranges, plans, "mutation lp_skip_fold"),
-    }
-}
-
-/// A store to protected memory issued before any region is opened
-/// (rule R1).
-pub fn store_outside_region() -> MutationOutcome {
-    let kind = ChecksumKind::Modular;
-    let scheme = Scheme::Lazy(kind);
-    let Rig {
-        machine,
-        arr,
-        handles,
-        ranges,
-    } = rig(scheme, 1);
-    let table = handles.table;
-    let mut plans = machine.plans();
-    plans[0].region(move |ctx| {
-        // The stray store: protected data touched with no region open.
-        ctx.store(arr, 0, 1.0);
-        // Followed by a perfectly disciplined region elsewhere.
-        ctx.region_begin(1);
-        let mut ck = RunningChecksum::new(kind);
-        for i in 8..16 {
-            let v = i as f64;
-            ctx.store(arr, i, v);
-            ck.update(v.to_bits());
-        }
-        table.store(ctx, 1, ck.value());
-        ctx.region_end();
-    });
-    MutationOutcome {
-        name: "store_outside_region",
-        expected: Rule::R1,
-        report: audit(
-            machine,
-            scheme,
-            ranges,
-            plans,
-            "mutation store_outside_region",
-        ),
-    }
-}
-
-/// An EagerRecompute region that flushes every line but advances its
-/// durable marker without the covering `sfence` (rule R3).
-pub fn ep_skip_fence() -> MutationOutcome {
-    let scheme = Scheme::Eager;
-    let Rig {
-        machine,
-        arr,
-        handles,
-        ranges,
-    } = rig(scheme, 1);
-    let markers = handles.markers;
-    let mut plans = machine.plans();
-    plans[0].region(move |ctx| {
-        ctx.region_begin(2);
-        for i in 0..8 {
-            ctx.store(arr, i, (i + 1) as f64);
-            ctx.clflushopt(arr.addr(i));
-        }
-        // Missing: ctx.sfence() — nothing orders the flushes before the
-        // marker below.
-        ctx.store(markers, 0, 3);
-        ctx.clflushopt(markers.addr(0));
-        ctx.sfence();
-        ctx.region_end();
-    });
-    MutationOutcome {
-        name: "ep_skip_fence",
-        expected: Rule::R3,
-        report: audit(machine, scheme, ranges, plans, "mutation ep_skip_fence"),
-    }
-}
-
-/// An EagerRecompute region that fences but skipped the flush of one dirty
-/// line (rule R3).
-pub fn ep_skip_flush() -> MutationOutcome {
-    let scheme = Scheme::Eager;
-    let Rig {
-        machine,
-        arr,
-        handles,
-        ranges,
-    } = rig(scheme, 1);
-    let markers = handles.markers;
-    let mut plans = machine.plans();
-    plans[0].region(move |ctx| {
-        ctx.region_begin(5);
-        // One store per cache line (8 f64s per 64-byte line).
-        for i in [0usize, 8, 16, 24] {
-            ctx.store(arr, i, (i + 1) as f64);
-            if i != 8 {
-                // Line of arr[8] is left dirty in the cache.
-                ctx.clflushopt(arr.addr(i));
-            }
-        }
-        ctx.sfence();
-        ctx.store(markers, 0, 6);
-        ctx.clflushopt(markers.addr(0));
-        ctx.sfence();
-        ctx.region_end();
-    });
-    MutationOutcome {
-        name: "ep_skip_flush",
-        expected: Rule::R3,
-        report: audit(machine, scheme, ranges, plans, "mutation ep_skip_flush"),
-    }
-}
-
-/// A WAL transaction that performs its in-place data store *before* the
-/// undo-log record is durably ordered (rule R4).
-pub fn wal_data_before_log() -> MutationOutcome {
-    let scheme = Scheme::Wal;
-    let Rig {
-        machine,
-        arr,
-        handles,
-        ranges,
-    } = rig(scheme, 1);
-    let entries = handles.arenas[0].entries_array();
-    let mut plans = machine.plans();
-    plans[0].region(move |ctx| {
-        ctx.region_begin(4);
-        let old: f64 = ctx.load(arr, 0);
-        // Reordered: data first…
-        ctx.store(arr, 0, 9.0);
-        // …then the log record, flushed and fenced — too late.
-        ctx.store(entries, 0, arr.addr(0).0);
-        ctx.clflushopt(entries.addr(0));
-        ctx.store(entries, 1, old.to_bits());
-        ctx.clflushopt(entries.addr(1));
-        ctx.sfence();
-        ctx.region_end();
-    });
-    MutationOutcome {
-        name: "wal_data_before_log",
-        expected: Rule::R4,
-        report: audit(
-            machine,
-            scheme,
-            ranges,
-            plans,
-            "mutation wal_data_before_log",
-        ),
-    }
-}
-
-/// Two regions on different cores, scheduled in the same round, writing
-/// the same protected cache line (rule R5).
-pub fn overlap_write_sets() -> MutationOutcome {
-    let kind = ChecksumKind::Modular;
-    let scheme = Scheme::Lazy(kind);
-    let Rig {
-        machine,
-        arr,
-        handles,
-        ranges,
-    } = rig(scheme, 2);
-    let table = handles.table;
-    let mut plans = machine.plans();
-    for (core, plan) in plans.iter_mut().enumerate() {
-        plan.region(move |ctx| {
-            ctx.region_begin(core);
-            let mut ck = RunningChecksum::new(kind);
-            // arr[0] and arr[1] share a cache line: overlapping write sets.
-            let v = (core + 1) as f64;
-            ctx.store(arr, core, v);
-            ck.update(v.to_bits());
-            table.store(ctx, core, ck.value());
-            ctx.region_end();
-        });
-    }
-    MutationOutcome {
-        name: "overlap_write_sets",
-        expected: Rule::R5,
-        report: audit(
-            machine,
-            scheme,
-            ranges,
-            plans,
-            "mutation overlap_write_sets",
-        ),
-    }
-}
-
-/// A later Lazy region rewrites a committed region's line before that
-/// region's checksum reached NVMM — and commits without a fresh checksum
-/// entry of its own (rule R6).
-pub fn torn_rewrite() -> MutationOutcome {
-    let kind = ChecksumKind::Modular;
-    let scheme = Scheme::Lazy(kind);
-    let Rig {
-        machine,
-        arr,
-        handles,
-        ranges,
-    } = rig(scheme, 1);
-    let table = handles.table;
-    let mut plans = machine.plans();
-    plans[0]
-        .region(move |ctx| {
-            // Disciplined region: data + checksum, no flush (that is LP).
-            ctx.region_begin(10);
-            let mut ck = RunningChecksum::new(kind);
-            for i in 0..8 {
-                let v = (i + 1) as f64;
-                ctx.store(arr, i, v);
-                ck.update(v.to_bits());
-            }
-            table.store(ctx, 10, ck.value());
-            ctx.region_end();
-        })
-        .region(move |ctx| {
-            // The mutant: rewrites the first region's line while that
-            // checksum is still only in the cache, and records no fresh
-            // checksum for the new bits.
-            ctx.region_begin(11);
-            ctx.store(arr, 0, -1.0);
-            ctx.region_end();
-        });
-    MutationOutcome {
-        name: "torn_rewrite",
-        expected: Rule::R6,
-        report: audit(machine, scheme, ranges, plans, "mutation torn_rewrite"),
-    }
-}
-
-/// A crashed Eager run whose recovery persists its done-marker *before*
-/// the data repairs it vouches for are flushed and fenced (rule R7): a
-/// nested crash in that window would make the promise durable without
-/// the repair, and the re-entry would trust it and skip the work.
-pub fn recovery_marker_first() -> MutationOutcome {
-    let scheme = Scheme::Eager;
-    let Rig {
+    let PreparedCase {
         mut machine,
-        arr,
-        handles,
-        ranges,
-    } = rig(scheme, 1);
-    let markers = handles.markers;
-    let checker = Arc::new(Mutex::new(Checker::new(
-        scheme,
-        ranges,
-        "mutation recovery_marker_first",
-    )));
-    machine.set_observer(checker.clone());
-    // A perfectly disciplined forward region, crashed mid-way so the
-    // checker enters recovery-audit mode.
-    let mut plans = machine.plans();
-    plans[0].region(move |ctx| {
-        ctx.region_begin(0);
-        for i in 0..8 {
-            ctx.store(arr, i, (i + 1) as f64);
-            ctx.clflushopt(arr.addr(i));
-        }
-        ctx.sfence();
-        ctx.store(markers, 0, 1);
-        ctx.clflushopt(markers.addr(0));
-        ctx.sfence();
-        ctx.region_end();
-    });
-    machine.set_crash_trigger(CrashTrigger::AfterMemOps(5));
-    machine.run(plans);
-    {
-        // The mutant recovery: re-stores the data, then persists the
-        // marker while the data lines are still dirty in the cache.
-        let mut ctx = machine.ctx(0);
-        for i in 0..8 {
-            ctx.store(arr, i, (i + 1) as f64);
-        }
-        ctx.store(markers, 0, 1); // R7: the promise outruns the repair.
-        ctx.clflushopt(markers.addr(0));
-        ctx.sfence();
-        ctx.clflushopt(arr.addr(0));
-        ctx.sfence();
-    }
-    machine.clear_observer();
-    let report = checker.lock().unwrap().report();
+        plans,
+        recover,
+        ..
+    } = (rig.case.build)();
+    let in_recovery = expected == Some(Rule::R7);
+    let report = watch(
+        &mut machine,
+        rig.scheme,
+        rig.ranges.clone(),
+        &rig.case.name,
+        |m| {
+            if in_recovery {
+                m.set_crash_trigger(CrashTrigger::AfterMemOps(RECOVERY_CRASH_POINT));
+            }
+            m.run(plans);
+            if in_recovery {
+                recover(m);
+            }
+        },
+    );
     MutationOutcome {
-        name: "recovery_marker_first",
-        expected: Rule::R7,
+        name: rig.case.name.clone(),
+        expected,
         report,
     }
 }
 
-/// A LazyParity region that publishes its parity line *before* the
-/// region's protected stores are all issued (rule R8): a crash between
-/// the early parity store and the remaining data stores leaves durable
-/// parity summarizing data that never existed, so a later media repair
-/// would reconstruct garbage and certify it.
-pub fn parity_before_data() -> MutationOutcome {
-    let kind = ChecksumKind::Crc32;
-    let scheme = Scheme::LazyParity(kind);
-    let Rig {
-        machine,
-        arr,
-        handles,
-        ranges,
-    } = rig(scheme, 1);
-    let table = handles.table;
-    let parity = handles.parity;
-    let mut plans = machine.plans();
-    plans[0].region(move |ctx| {
-        ctx.region_begin(9);
-        let mut ck = RunningChecksum::new(kind);
-        let mut lanes = [0u64; 8];
-        for i in 0..4 {
-            let v = (i + 1) as f64;
-            ctx.store(arr, i, v);
-            ck.update(v.to_bits());
-            lanes[lane_of(arr.addr(i))] ^= v.to_bits();
-        }
-        // The mutant: parity published mid-region, while half the stores
-        // it will end up summarizing are still to come.
-        parity.store_lanes(ctx, 9, &lanes);
-        for i in 4..8 {
-            let v = (i + 1) as f64;
-            ctx.store(arr, i, v);
-            ck.update(v.to_bits());
-        }
-        table.store(ctx, 9, ck.value());
-        ctx.region_end();
-    });
-    MutationOutcome {
-        name: "parity_before_data",
-        expected: Rule::R8,
-        report: audit(
-            machine,
-            scheme,
-            ranges,
-            plans,
-            "mutation parity_before_data",
-        ),
-    }
-}
-
-/// Control: the same shape as the mutants but fully disciplined — the
-/// checker must stay silent.
+/// Control: a two-core region shape like the rigs' but fully disciplined
+/// — the checker must stay silent.
 pub fn disciplined_control(scheme: Scheme) -> ViolationReport {
-    let Rig {
-        machine,
-        arr,
-        handles,
-        ranges,
-    } = rig(scheme, 2);
+    let mut machine = Machine::new(
+        MachineConfig::default()
+            .with_cores(2)
+            .with_nvmm_bytes(1 << 20),
+    );
+    let arr = machine.alloc::<f64>(64).expect("control array");
+    let handles = SchemeHandles::alloc(&mut machine, scheme, 16, 2, 64).expect("control handles");
+    let mut ranges = vec![TrackedRange::of("data", arr, RangeRole::Protected)];
+    ranges.extend(handles.ranges());
     let mut plans = machine.plans();
     for (core, plan) in plans.iter_mut().enumerate() {
         let tp = handles.thread(core);
@@ -474,40 +131,28 @@ pub fn disciplined_control(scheme: Scheme) -> ViolationReport {
             tp.commit(ctx, rs);
         });
     }
-    audit(
-        machine,
-        scheme,
-        ranges,
-        plans,
-        &format!("control under {scheme}"),
-    )
+    let label = format!("control under {scheme}");
+    watch(&mut machine, scheme, ranges, &label, |m| {
+        m.run(plans);
+    })
 }
 
-/// Run every mutation.
+/// Audit every registered rig.
 pub fn run_all() -> Vec<MutationOutcome> {
-    vec![
-        lp_skip_fold(),
-        store_outside_region(),
-        ep_skip_fence(),
-        ep_skip_flush(),
-        wal_data_before_log(),
-        overlap_write_sets(),
-        torn_rewrite(),
-        recovery_marker_first(),
-        parity_before_data(),
-    ]
+    rigs::all().iter().map(audit).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lp_core::checksum::ChecksumKind;
 
     #[test]
     fn every_mutation_is_flagged_with_its_rule() {
         for outcome in run_all() {
             assert!(
-                outcome.flagged(),
-                "{} did not flag {}:\n{}",
+                outcome.holds(),
+                "{} should flag exactly {:?}:\n{}",
                 outcome.name,
                 outcome.expected,
                 outcome.report
@@ -516,9 +161,18 @@ mod tests {
     }
 
     #[test]
+    fn every_rig_rule_id_parses() {
+        for rig in rigs::all() {
+            if let Some(id) = rig.check {
+                assert!(Rule::from_id(id).is_some(), "{}: {id}", rig.case.name);
+            }
+        }
+    }
+
+    #[test]
     fn mutations_cover_all_rules() {
         let covered: std::collections::HashSet<Rule> =
-            run_all().into_iter().map(|o| o.expected).collect();
+            run_all().into_iter().filter_map(|o| o.expected).collect();
         assert_eq!(covered.len(), Rule::ALL.len());
     }
 
@@ -540,7 +194,8 @@ mod tests {
 
     #[test]
     fn mutation_names_are_unique() {
-        let names: std::collections::HashSet<&str> = run_all().iter().map(|o| o.name).collect();
-        assert_eq!(names.len(), run_all().len());
+        let names: std::collections::HashSet<String> =
+            run_all().into_iter().map(|o| o.name).collect();
+        assert_eq!(names.len(), rigs::all().len());
     }
 }

@@ -55,6 +55,11 @@ impl Rule {
         Rule::R8,
     ];
 
+    /// Parse a short identifier (`"R1"` … `"R8"`).
+    pub fn from_id(id: &str) -> Option<Rule> {
+        Rule::ALL.into_iter().find(|r| r.id() == id)
+    }
+
     /// Short identifier (`"R1"` … `"R8"`).
     pub fn id(self) -> &'static str {
         match self {
@@ -287,6 +292,10 @@ mod tests {
         assert_eq!(ids.len(), Rule::ALL.len());
         let titles: std::collections::HashSet<_> = Rule::ALL.iter().map(|r| r.title()).collect();
         assert_eq!(titles.len(), Rule::ALL.len());
+        for r in Rule::ALL {
+            assert_eq!(Rule::from_id(r.id()), Some(r));
+        }
+        assert_eq!(Rule::from_id("R9"), None);
     }
 
     #[test]

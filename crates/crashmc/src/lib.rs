@@ -21,15 +21,16 @@
 //!   subset enumeration, fork/recover/verify classification.
 //! - [`cases`] — the paper's five kernels × {LP, LP+parity, EagerRecompute, WAL}
 //!   wired into the engine through [`lp_kernels::driver::prepare_kernel`].
-//! - [`mutations`] — seven single-discipline-bug workloads (one per
-//!   `lp-check` rule violation) for which the checker must find at least
-//!   one corrupt-or-stuck crash state each, proving the model has teeth.
+//! - [`rigs`] — the mutation-rig registry: every deliberately broken
+//!   discipline, each censused under its own fault class, for which the
+//!   checker must find a corrupt-or-stuck crash state (unless the runtime
+//!   masks the bug), proving the model has teeth. `lp-check` and
+//!   `lp-lint` audit the same registry.
 //!
 //! See `DESIGN.md` ("Correctness tooling") for the ADR crash model and
 //! the definition of "reachable state".
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 pub mod cases;
-pub mod fault_mutations;
 pub mod mc;
-pub mod mutations;
+pub mod rigs;

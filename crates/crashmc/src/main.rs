@@ -5,7 +5,7 @@ use lp_core::checksum::ChecksumKind;
 use lp_core::scheme::Scheme;
 use lp_crashmc::cases::{all_kernel_cases, kernel_case, CLEAN_SCHEMES};
 use lp_crashmc::mc::{check_cases, Budget, BudgetMode, CheckCase, McReport};
-use lp_crashmc::{fault_mutations, mutations};
+use lp_crashmc::rigs::{self, Rig};
 use lp_kernels::driver::{KernelId, Scale};
 use lp_sim::fault::FaultConfig;
 use lp_sim::par::available_threads;
@@ -15,10 +15,11 @@ lp-crashmc: exhaustive crash-state model checker for the persistency schemes
 
 USAGE:
   lp-crashmc [OPTIONS]                   check kernels x {LP, EP, WAL}
-  lp-crashmc --mutations [OPTIONS]       check the seven discipline mutations
-                                         (each must yield >= 1 corrupt/stuck state)
-  lp-crashmc --fault-mutations [OPTIONS] check the three fault-model mutations,
-                                         each under the fault class it needs
+  lp-crashmc --mutations [OPTIONS]       check the mutation-rig registry, each rig
+                                         under its own fault class (each must
+                                         yield >= 1 corrupt/stuck state, or stay
+                                         clean with failed repairs where the
+                                         runtime masks the bug)
 
 OPTIONS:
   --budget MODE     exhaustive | sampled | smoke      [default: sampled]
@@ -30,7 +31,8 @@ OPTIONS:
                     (e.g. --faults torn,media,nested)  [default: none]
                     media-burst widens each poison draw to two adjacent
                     lines: single-line poisons are repairable from parity
-                    under lazy-parity, bursts must escalate to recompute
+                    under lazy-parity, bursts must escalate to recompute.
+                    --mutations ignores it: each rig runs under its own
   --nested-bound K  crashes injected per recovery before the final
                     crash-free attempt (with nested)  [default: 2]
   --kernel NAME     tmm | cholesky | conv2d | gauss | fft | all [default: all]
@@ -51,7 +53,7 @@ OPTIONS:
 
 EXIT STATUS:
   0  all explored states recovered consistently (or, with --mutations,
-     every mutation was flagged); 1 otherwise.";
+     every rig was caught); 1 otherwise.";
 
 struct Args {
     budget: Budget,
@@ -61,7 +63,6 @@ struct Args {
     scale: Scale,
     threads: usize,
     mutations: bool,
-    fault_mutations: bool,
     report: Option<String>,
     list: bool,
 }
@@ -83,7 +84,6 @@ fn parse_args() -> Args {
         scale: Scale::Micro,
         threads: available_threads(),
         mutations: false,
-        fault_mutations: false,
         report: None,
         list: false,
     };
@@ -199,7 +199,6 @@ fn parse_args() -> Args {
             }
             "--report" => out.report = Some(value(&mut args, "--report")),
             "--mutations" => out.mutations = true,
-            "--fault-mutations" => out.fault_mutations = true,
             "--list" => out.list = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -227,9 +226,6 @@ fn parse_args() -> Args {
 }
 
 fn select_cases(args: &Args) -> Vec<CheckCase> {
-    if args.mutations {
-        return mutations::all();
-    }
     match (args.kernel, args.scheme) {
         (None, None) => all_kernel_cases(args.scale),
         (k, s) => {
@@ -246,12 +242,19 @@ fn select_cases(args: &Args) -> Vec<CheckCase> {
     }
 }
 
-fn print_report(r: &McReport, expect_flagged: bool) {
-    let verdict = match (expect_flagged, r.flagged()) {
-        (false, false) => "CLEAN",
-        (false, true) => "FAIL",
-        (true, true) => "FLAGGED",
-        (true, false) => "MISSED",
+/// Print `r` with its verdict; returns whether it passed. A kernel case
+/// passes clean; a rig passes when its census caught it — FLAGGED, or
+/// CLEAN for a rig whose bug the runtime masks.
+fn print_report(r: &McReport, rig: Option<&Rig>) -> bool {
+    let (verdict, ok) = match rig {
+        None if r.clean() => ("CLEAN", true),
+        None => ("FAIL", false),
+        Some(rig) => match (rig.masked, rig.caught(r)) {
+            (false, true) => ("FLAGGED", true),
+            (false, false) => ("MISSED", false),
+            (true, true) => ("CLEAN", true),
+            (true, false) => ("FAIL", false),
+        },
     };
     println!("{}  {}", r.summary_line(), verdict);
     if r.faults != "none" {
@@ -263,6 +266,7 @@ fn print_report(r: &McReport, expect_flagged: bool) {
             ex.class, ex.op, ex.census, ex.subset
         );
     }
+    ok
 }
 
 fn tally_json(t: &lp_crashmc::mc::FaultTally) -> String {
@@ -355,60 +359,15 @@ fn campaign_json(reports: &[McReport], seed: u64) -> String {
 
 fn main() {
     let args = parse_args();
-    if args.fault_mutations {
-        let rigs = fault_mutations::all();
-        if args.list {
-            for (c, f) in &rigs {
-                println!("{}  [--faults {}]", c.name, f);
-            }
-            return;
-        }
-        println!(
-            "lp-crashmc: {} fault-mutation rig(s), budget {:?}, k {}, seed {}",
-            rigs.len(),
-            args.budget.mode,
-            args.budget.k,
-            args.seed
-        );
-        std::panic::set_hook(Box::new(|_| {}));
-        // Each rig runs under the fault class it was written to need,
-        // with the CLI's --nested-bound honoured where nesting applies.
-        let reports: Vec<McReport> = rigs
-            .into_iter()
-            .map(|(case, mut faults)| {
-                if faults.nested && args.budget.faults.nested_bound > 0 {
-                    faults.nested_bound = args.budget.faults.nested_bound;
-                }
-                let budget = Budget {
-                    faults,
-                    ..args.budget
-                };
-                check_cases(&[case], &budget, args.seed, args.threads).remove(0)
-            })
-            .collect();
-        let _ = std::panic::take_hook();
-        let mut failed = false;
-        for r in &reports {
-            print_report(r, true);
-            failed |= !r.flagged();
-        }
-        let flagged = reports.iter().filter(|r| r.flagged()).count();
-        println!(
-            "{}/{} fault mutations flagged across {} crash states",
-            flagged,
-            reports.len(),
-            reports.iter().map(|r| r.states_checked).sum::<u64>(),
-        );
-        if let Some(path) = &args.report {
-            write_report(path, &campaign_json(&reports, args.seed));
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        return;
-    }
-    let cases = select_cases(&args);
+    let (rigs, cases) = if args.mutations {
+        (rigs::all(), Vec::new())
+    } else {
+        (Vec::new(), select_cases(&args))
+    };
     if args.list {
+        for r in &rigs {
+            println!("{}  [--faults {}]", r.case.name, r.faults);
+        }
         for c in &cases {
             println!("{}", c.name);
         }
@@ -416,7 +375,7 @@ fn main() {
     }
     println!(
         "lp-crashmc: {} case(s), budget {:?}, k {}, seed {}",
-        cases.len(),
+        rigs.len() + cases.len(),
         args.budget.mode,
         args.budget.k,
         args.seed
@@ -427,7 +386,22 @@ fn main() {
     // hook from spamming the report.
     std::panic::set_hook(Box::new(|_| {}));
     let started = std::time::Instant::now();
-    let reports: Vec<McReport> = check_cases(&cases, &args.budget, args.seed, args.threads);
+    let reports: Vec<McReport> = if args.mutations {
+        // Each rig runs under the fault class it was written to need.
+        rigs.iter()
+            .flat_map(|r| {
+                let budget = r.budget(&args.budget);
+                check_cases(
+                    std::slice::from_ref(&r.case),
+                    &budget,
+                    args.seed,
+                    args.threads,
+                )
+            })
+            .collect()
+    } else {
+        check_cases(&cases, &args.budget, args.seed, args.threads)
+    };
     let elapsed = started.elapsed();
     let _ = std::panic::take_hook();
 
@@ -442,28 +416,21 @@ fn main() {
         explored as f64 / elapsed.as_secs_f64().max(1e-9),
     );
 
-    let mut failed = false;
-    for r in &reports {
-        print_report(r, args.mutations);
-        failed |= if args.mutations {
-            !r.flagged()
-        } else {
-            r.flagged()
-        };
+    let mut passed = 0;
+    for (i, r) in reports.iter().enumerate() {
+        passed += usize::from(print_report(r, rigs.get(i)));
     }
-    let states: u64 = reports.iter().map(|r| r.states_checked).sum();
     if args.mutations {
-        let flagged = reports.iter().filter(|r| r.flagged()).count();
         println!(
-            "{}/{} mutations flagged across {} crash states",
-            flagged,
+            "{}/{} rigs caught across {} crash states",
+            passed,
             reports.len(),
-            states
+            explored
         );
     } else {
         println!(
             "{} crash states explored, {} corrupt, {} stuck",
-            states,
+            explored,
             reports.iter().map(|r| r.corrupt).sum::<u64>(),
             reports.iter().map(|r| r.stuck).sum::<u64>(),
         );
@@ -471,7 +438,7 @@ fn main() {
     if let Some(path) = &args.report {
         write_report(path, &campaign_json(&reports, args.seed));
     }
-    if failed {
+    if passed < reports.len() {
         std::process::exit(1);
     }
 }

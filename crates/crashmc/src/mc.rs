@@ -1090,7 +1090,7 @@ mod tests {
 
     #[test]
     fn sampled_reports_are_deterministic_per_seed() {
-        let case = crate::mutations::lp_skip_fold();
+        let case = crate::rigs::lp_skip_fold().case;
         let budget = Budget {
             mode: BudgetMode::Sampled(6),
             k: 3,

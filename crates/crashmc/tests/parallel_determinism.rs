@@ -3,7 +3,7 @@
 
 use lp_crashmc::cases::kernel_case;
 use lp_crashmc::mc::{check_cases, Budget, BudgetMode};
-use lp_crashmc::mutations;
+use lp_crashmc::rigs;
 use lp_kernels::driver::{KernelId, Scale};
 use lp_sim::fault::FaultConfig;
 
@@ -59,13 +59,23 @@ fn mutation_reports_are_byte_identical_and_still_flagged() {
     // default hook as the binary does.
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let cases = mutations::all();
-    let seq = check_cases(&cases, &budget(), 7, 1);
-    let par = check_cases(&cases, &budget(), 7, 8);
+    // Each rig runs under its own fault class.
+    let rigs = rigs::all();
+    let runs: Vec<_> = rigs
+        .iter()
+        .map(|rig| {
+            let (cases, b) = (std::slice::from_ref(&rig.case), rig.budget(&budget()));
+            (check_cases(cases, &b, 7, 1), check_cases(cases, &b, 7, 8))
+        })
+        .collect();
     std::panic::set_hook(prev);
-    assert_eq!(seq, par);
-    for r in &par {
-        assert!(r.flagged(), "{} must stay flagged in parallel", r.case_name);
+    for (rig, (seq, par)) in rigs.iter().zip(runs) {
+        assert_eq!(seq, par);
+        assert!(
+            rig.caught(&par[0]),
+            "{} must stay caught in parallel",
+            rig.case.name
+        );
     }
 }
 
@@ -114,7 +124,7 @@ fn chunked_subset_exploration_matches_unchunked_counts() {
     // examples must still match the single-threaded walk.
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let cases = vec![mutations::all().remove(0)];
+    let cases = vec![rigs::all().remove(0).case];
     let b = Budget {
         mode: BudgetMode::Sampled(4),
         k: 8,

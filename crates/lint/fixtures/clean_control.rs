@@ -1,6 +1,6 @@
 //! Control fixture: the same three scheme idioms written *correctly*.
 //! Must lint to zero findings — this pins down the analyzer's false
-//! positive rate on the exact patterns the buggy fixtures perturb.
+//! positive rate on the exact patterns the mutation rigs perturb.
 
 fn region_lazy(ctx: &mut CoreCtx<'_>) {
     ctx.region_begin(KEY);

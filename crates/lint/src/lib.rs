@@ -33,7 +33,8 @@
 //! Findings carry `file:line` spans and are emitted as a structured
 //! [`report::LintReport`] (pretty text or JSON), mirroring lp-check's
 //! `ViolationReport`. The [`differential`] module cross-validates the
-//! rules against the lp-crashmc mutation rigs and the W-rule fixtures;
+//! rules against the mutation-rig registry (`lp_crashmc::rigs`, linted
+//! in place) and the W-rule fixtures;
 //! the [`cost`] module extracts a static per-scheme flush/fence cost
 //! model from the core sources, and [`costcheck`] holds the dynamic
 //! counters to it.
@@ -69,14 +70,7 @@ pub fn default_targets(root: &Path) -> std::io::Result<Vec<PathBuf>> {
         .collect();
     entries.sort();
     out.extend(entries);
-    for core in [
-        "wal.rs",
-        "ep.rs",
-        "recovery.rs",
-        "parity.rs",
-        "table.rs",
-        "table/hashed.rs",
-    ] {
+    for core in ["wal.rs", "ep.rs", "recovery.rs", "parity.rs", "table.rs"] {
         let p = root.join("crates/core/src").join(core);
         if p.is_file() {
             out.push(p);

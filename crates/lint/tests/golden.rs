@@ -1,12 +1,14 @@
-//! Golden-file tests: the JSON and pretty renderings of a fixture
-//! report are pinned byte-for-byte, so any drift in spans, wording, or
-//! key order is a reviewed diff rather than a silent change.
+//! Golden-file tests: the JSON and pretty renderings of the lint reports
+//! over the mutation-rig registry and the efficiency fixtures are pinned
+//! byte-for-byte, so any drift in spans, wording, or key order is a
+//! reviewed diff rather than a silent change.
 //!
 //! Regenerate after an intentional format change with
 //! `LP_LINT_BLESS=1 cargo test -p lp-lint --test golden`.
 
 use std::path::{Path, PathBuf};
 
+use lp_lint::differential::rigs_report;
 use lp_lint::{analyze_source, default_targets, lint_paths, LintConfig};
 
 fn fixture(name: &str) -> String {
@@ -37,26 +39,20 @@ fn golden_check(name: &str, actual: &str) {
     );
 }
 
-fn ep_skip_flush_report() -> lp_lint::LintReport {
-    analyze_source(
-        &fixture("ep_skip_flush.rs"),
-        "fixtures/ep_skip_flush.rs",
-        "ep_skip_flush",
-        &LintConfig::default(),
-    )
-}
-
+/// The report over the registry source pins every static rig's S1–S5/S7
+/// finding, together with what the honest recoveries linted in place
+/// add.
 #[test]
-fn ep_skip_flush_json_golden() {
-    let mut json = ep_skip_flush_report().to_json();
+fn rigs_json_golden() {
+    let mut json = rigs_report(&LintConfig::default()).to_json();
     json.push('\n');
-    golden_check("ep_skip_flush.json", &json);
+    golden_check("rigs.json", &json);
 }
 
 #[test]
-fn ep_skip_flush_pretty_golden() {
-    let pretty = ep_skip_flush_report().to_string();
-    golden_check("ep_skip_flush.txt", &pretty);
+fn rigs_pretty_golden() {
+    let pretty = rigs_report(&LintConfig::default()).to_string();
+    golden_check("rigs.txt", &pretty);
 }
 
 /// One combined report over the W1–W4/S6 efficiency-rule fixtures, linted
@@ -90,31 +86,6 @@ fn efficiency_fixtures_pretty_golden() {
     golden_check("efficiency.txt", &pretty);
 }
 
-#[test]
-fn each_efficiency_fixture_flags_its_own_rule() {
-    use lp_lint::SRule;
-    for (stem, rule) in [
-        ("w1_redundant_flush", SRule::W1RedundantFlush),
-        ("w2_redundant_fence", SRule::W2RedundantFence),
-        ("w3_range_shadowed_flush", SRule::W3ShadowedFlush),
-        ("w4_unrolled_flush", SRule::W4MissedCoalescing),
-        ("w4_loop_barrier", SRule::W4MissedCoalescing),
-        ("s6_lp_unfolded_store", SRule::S6UncoveredData),
-    ] {
-        let report = analyze_source(
-            &fixture(&format!("{stem}.rs")),
-            &format!("fixtures/{stem}.rs"),
-            stem,
-            &LintConfig::default(),
-        );
-        assert!(
-            report.findings.iter().any(|v| v.rule == rule),
-            "{stem} should flag {}:\n{report}",
-            rule.id()
-        );
-    }
-}
-
 /// Bugs lp-lint does not catch yet: a fixture under
 /// `fixtures/known_misses/`, the rule that should flag it, and the tree
 /// code of the same shape.
@@ -126,7 +97,7 @@ const KNOWN_MISSES: &[(&str, lp_lint::SRule, &str)] = &[(
 
 /// Pins each known miss, so this fails once lp-lint closes the gap: then
 /// move the fixture up into `fixtures/`, list it in
-/// `each_efficiency_fixture_flags_its_own_rule`, and fix the tree code.
+/// `differential::efficiency_expectations`, and fix the tree code.
 #[test]
 fn known_misses_stay_recorded() {
     for &(stem, rule, tree) in KNOWN_MISSES {
