@@ -93,18 +93,19 @@ rm -f /tmp/lp_lint_diff.txt
 echo "== lp-lint: cost model vs measured flush/fence counters, all kernels x schemes =="
 cargo run --release -q -p lp-lint -- --cost-check
 
-echo "== perfbench pins: every Bench-scale recover and kernels cell on its pinned numbers =="
+echo "== perfbench pins: every recover/kernels cell and census/faults case on its pinned numbers =="
 # One pass per workload at seed 0 (--seconds 0). perfbench checks each
-# cell's rec_cycles / memops / exec_cycles against perfbench/pins.txt and
-# counts a cell that drifts (or fails to verify) as failed; the final
-# JSON line must report none.
-for wl in recover kernels; do
+# Bench-scale cell's rec_cycles / memops / exec_cycles, and each census
+# or faults case's states_checked / dedup_hits plus a clean report,
+# against perfbench/pins.txt and counts a cell or case that drifts (or
+# fails to verify) as failed; the final JSON line must report none.
+for wl in recover kernels census faults; do
   cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
     --workload "$wl" --seed 0 --seconds 0 --trace 0 | tail -n 1 > "/tmp/lp_pins_$wl.json"
   grep -q '"failed": 0' "/tmp/lp_pins_$wl.json" \
-    || { echo "perfbench $wl: a cell failed or drifted from its pins"; cat "/tmp/lp_pins_$wl.json"; exit 1; }
+    || { echo "perfbench $wl: a cell or case failed or drifted from its pins"; cat "/tmp/lp_pins_$wl.json"; exit 1; }
 done
-rm -f /tmp/lp_pins_recover.json /tmp/lp_pins_kernels.json
+rm -f /tmp/lp_pins_recover.json /tmp/lp_pins_kernels.json /tmp/lp_pins_census.json /tmp/lp_pins_faults.json
 
 echo "== perf baseline: refresh results/BENCH_10.json + regression + cycle-invariance check vs BENCH_9 =="
 # --check compares fresh best-of-reps rates (units / wall_min — robust

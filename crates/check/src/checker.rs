@@ -549,7 +549,9 @@ impl Checker {
                             region,
                             None,
                             format!(
-                                "recovery progress value {bits:#018x} stored while                                  {} protected recovery line(s) lack a covering                                  flush+sfence, e.g. L{:#x}",
+                                "recovery progress value {bits:#018x} stored while \
+                                 {} protected recovery line(s) lack a covering \
+                                 flush+sfence, e.g. L{:#x}",
                                 unfenced.len(),
                                 unfenced[0]
                             ),

@@ -157,6 +157,17 @@ mod tests {
                 outcome.expected,
                 outcome.report
             );
+            // A lost `\` continuation in a detail format string shows up
+            // as a run of source indentation inside the message.
+            for v in &outcome.report.violations {
+                assert!(
+                    !v.detail.contains("  "),
+                    "{}: {} detail has a double space: {:?}",
+                    outcome.name,
+                    v.rule,
+                    v.detail
+                );
+            }
         }
     }
 

@@ -17,6 +17,18 @@
 //! case and replaying ops `0..p` per point, which the previous engine
 //! spent O(points × trace) redundant simulation on.
 //!
+//! # Recycled post-crash machines
+//!
+//! A work unit judges its states one after another, so it keeps the
+//! machine of the last judged state as a spare and builds the next
+//! post-crash machine with [`Machine::refork`] instead of a fresh fork.
+//! A recycled machine equals `fork_with_image` of the same image — every
+//! part but the cache arrays is built new, and the caches are reset to
+//! their newly built state — but the reset costs only the ways the last
+//! recovery filled, so judging a state allocates no NVMM image and no
+//! cache arrays. The first state of a unit forks; a machine whose
+//! recovery or verification panicked is dropped, not recycled.
+//!
 //! # Crash-state deduplication
 //!
 //! Distinct census subsets frequently materialize the *same* durable
@@ -627,12 +639,17 @@ impl Fnv2 {
 
 /// Allocation arena reused across every state a work unit replays: the
 /// torn-mask draw buffer and the dedup-key line list are cleared and
-/// refilled per state instead of reallocated (the materialized images
-/// themselves are cheap COW overlay forks and are not pooled).
+/// refilled per state instead of reallocated, and the post-crash machine
+/// of the last judged state is kept as a spare that the next state
+/// [`Machine::refork`]s over its own image — a recycled machine equals a
+/// fresh fork but costs only the cache ways the last recovery touched,
+/// not a newly zeroed NVMM image and cache arrays (the materialized
+/// images themselves are cheap COW overlay forks and are not pooled).
 #[derive(Default)]
 struct UnitScratch {
     masks: Vec<u8>,
     lines: Vec<LineAddr>,
+    spare: Option<Machine>,
 }
 
 /// The dedup key of one state: a fingerprint of every line the census (or
@@ -695,12 +712,15 @@ struct StateOutcome {
 }
 
 /// Resume one materialized state (fork the snapshot machine with its
-/// image), run real recovery with nested-crash injection, and classify.
+/// image, recycling `spare` when there is one), run real recovery with
+/// nested-crash injection, and classify. The post-crash machine goes back
+/// into `spare` unless recovery or verification panicked.
 fn judge_state(
     rt: &CaseRuntime,
     mat: Materialized,
     faults: &FaultConfig,
     frng: &mut Rng64,
+    spare: &mut Option<Machine>,
 ) -> StateOutcome {
     let Materialized {
         image,
@@ -709,7 +729,10 @@ fn judge_state(
         poison_partner,
         ..
     } = mat;
-    let mut post = rt.machine.fork_with_image(image);
+    let mut post = match spare.take() {
+        Some(m) => m.refork(&rt.machine, image),
+        None => rt.machine.fork_with_image(image),
+    };
     if let Some(line) = poison_line {
         post.mem_mut().poison_line(line);
     }
@@ -815,6 +838,9 @@ fn judge_state(
     } else {
         StateClass::Stuck
     };
+    if out.class != StateClass::Stuck {
+        *spare = Some(post);
+    }
     out
 }
 
@@ -881,7 +907,7 @@ fn run_unit(rt: &CaseRuntime, budget: &Budget, seed: u64, unit: &WorkUnit) -> Un
         let outcome = match memo.get(&key) {
             Some(o) if duplicate && budget.dedup => *o,
             _ => {
-                let o = judge_state(rt, mat, &faults, &mut frng);
+                let o = judge_state(rt, mat, &faults, &mut frng, &mut scratch.spare);
                 memo.insert(key, o);
                 o
             }

@@ -6,6 +6,13 @@
 //! is writeback/write-allocate with LRU replacement, 64-byte lines, and an
 //! inclusive L2 that tracks which cores hold each line (sharer bitmask) and
 //! whether one core holds it exclusively (owner).
+//!
+//! Both caches can be `reset()` to their newly built state in time
+//! proportional to the ways filled since the last reset, not to the array
+//! size: a way whose LRU stamp is 0 has never been filled (every fill and
+//! touch stamps a tick `>= 1`), so each cache records a way the first
+//! time a fill lands on such a *pristine* way. The record can never
+//! outgrow the way count, however often lines are flushed and refilled.
 
 use crate::addr::{LineAddr, LINE_BYTES};
 
@@ -23,7 +30,7 @@ pub enum Mesi {
 }
 
 /// One L1 line: identity, state, payload, replacement and dirty metadata.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct L1Line {
     /// Line address (valid only when `state != Invalid`).
     pub line: LineAddr,
@@ -64,12 +71,14 @@ pub struct EvictedL1 {
 }
 
 /// A private, set-associative, writeback L1 data cache.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct L1Cache {
     set_bits: u32,
     assoc: usize,
     lines: Vec<L1Line>,
     tick: u64,
+    /// Ways filled while pristine (LRU stamp 0) since the last reset.
+    filled: Vec<u32>,
 }
 
 impl L1Cache {
@@ -86,7 +95,19 @@ impl L1Cache {
             assoc,
             lines: vec![L1Line::default(); sets * assoc],
             tick: 0,
+            filled: Vec::new(),
         }
+    }
+
+    /// Restore the cache to exactly its newly built state (`==` to
+    /// [`L1Cache::new`] of the same geometry), touching only the ways
+    /// filled since the last reset.
+    pub(crate) fn reset(&mut self) {
+        for &i in &self.filled {
+            self.lines[i as usize] = L1Line::default();
+        }
+        self.filled.clear();
+        self.tick = 0;
     }
 
     fn set_range(&self, line: LineAddr) -> std::ops::Range<usize> {
@@ -106,13 +127,16 @@ impl L1Cache {
         &self.lines[idx]
     }
 
-    /// Mutable access to a way by index.
+    /// Mutable access to a way by index. The way must have been filled
+    /// (a pristine way's edits would survive `reset()`).
     pub fn way_mut(&mut self, idx: usize) -> &mut L1Line {
+        debug_assert_ne!(self.lines[idx].lru, 0, "editing a never-filled way");
         &mut self.lines[idx]
     }
 
-    /// Refresh the LRU timestamp of a way.
+    /// Refresh the LRU timestamp of a (filled) way.
     pub fn touch(&mut self, idx: usize) {
+        debug_assert_ne!(self.lines[idx].lru, 0, "touching a never-filled way");
         self.tick += 1;
         self.lines[idx].lru = self.tick;
     }
@@ -149,6 +173,9 @@ impl L1Cache {
         } else {
             None
         };
+        if self.lines[idx].lru == 0 {
+            self.filled.push(idx as u32);
+        }
         self.tick += 1;
         self.lines[idx] = L1Line {
             line,
@@ -193,7 +220,7 @@ impl L1Cache {
 }
 
 /// One L2 line with directory state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct L2Line {
     /// Line address (valid only when `valid`).
     pub line: LineAddr,
@@ -230,12 +257,14 @@ impl Default for L2Line {
 }
 
 /// The shared, inclusive, writeback L2 with an in-cache directory.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct L2Cache {
     set_bits: u32,
     assoc: usize,
     lines: Vec<L2Line>,
     tick: u64,
+    /// Ways filled while pristine (LRU stamp 0) since the last reset.
+    filled: Vec<u32>,
 }
 
 impl L2Cache {
@@ -252,7 +281,19 @@ impl L2Cache {
             assoc,
             lines: vec![L2Line::default(); sets * assoc],
             tick: 0,
+            filled: Vec::new(),
         }
+    }
+
+    /// Restore the cache to exactly its newly built state (`==` to
+    /// [`L2Cache::new`] of the same geometry), touching only the ways
+    /// filled since the last reset.
+    pub(crate) fn reset(&mut self) {
+        for &i in &self.filled {
+            self.lines[i as usize] = L2Line::default();
+        }
+        self.filled.clear();
+        self.tick = 0;
     }
 
     fn set_range(&self, line: LineAddr) -> std::ops::Range<usize> {
@@ -272,13 +313,16 @@ impl L2Cache {
         &self.lines[idx]
     }
 
-    /// Mutable access to a way by index.
+    /// Mutable access to a way by index. The way must have been filled
+    /// (a pristine way's edits would survive `reset()`).
     pub fn way_mut(&mut self, idx: usize) -> &mut L2Line {
+        debug_assert_ne!(self.lines[idx].lru, 0, "editing a never-filled way");
         &mut self.lines[idx]
     }
 
-    /// Refresh the LRU timestamp of a way.
+    /// Refresh the LRU timestamp of a (filled) way.
     pub fn touch(&mut self, idx: usize) {
+        debug_assert_ne!(self.lines[idx].lru, 0, "touching a never-filled way");
         self.tick += 1;
         self.lines[idx].lru = self.tick;
     }
@@ -308,6 +352,9 @@ impl L2Cache {
         sharer: usize,
         owner: bool,
     ) {
+        if self.lines[idx].lru == 0 {
+            self.filled.push(idx as u32);
+        }
         self.tick += 1;
         self.lines[idx] = L2Line {
             line,
@@ -440,5 +487,95 @@ mod tests {
         c.wipe();
         assert_eq!(c.resident(), 0);
         assert!(c.find(LineAddr(0)).is_none());
+    }
+
+    /// Drive `c` through inserts (with evictions), touches, invalidations
+    /// and a wipe over lines `0..n`.
+    fn churn_l1(c: &mut L1Cache, n: u64) {
+        for i in 0..n {
+            c.insert(LineAddr(i * 7), data(i as u8), Mesi::Modified, i);
+            if let Some(idx) = c.find(LineAddr(i * 7 / 2 * 2)) {
+                c.touch(idx);
+            }
+            if i % 3 == 0 {
+                c.invalidate(LineAddr(i * 7));
+            }
+        }
+    }
+
+    fn churn_l2(c: &mut L2Cache, n: u64) {
+        for i in 0..n {
+            let line = LineAddr(i * 5);
+            let way = c.victim_way(line);
+            c.install(way, line, data(i as u8), (i % 4) as usize, i % 2 == 0);
+            c.way_mut(way).dirty = true;
+            if let Some(idx) = c.find(LineAddr(i * 5 / 2 * 2)) {
+                c.touch(idx);
+            }
+            if i % 3 == 0 {
+                c.way_mut(way).valid = false;
+            }
+        }
+    }
+
+    #[test]
+    fn reset_restores_a_newly_built_l1() {
+        for n in [0, 1, 5, 40, 400] {
+            let mut c = L1Cache::new(2 * 1024, 2);
+            churn_l1(&mut c, n);
+            c.reset();
+            assert_eq!(c, L1Cache::new(2 * 1024, 2), "after {n} inserts");
+            churn_l1(&mut c, n);
+            c.wipe();
+            c.reset();
+            assert_eq!(c, L1Cache::new(2 * 1024, 2), "after {n} inserts and a wipe");
+        }
+    }
+
+    #[test]
+    fn reset_restores_a_newly_built_l2() {
+        for n in [0, 1, 5, 40, 400] {
+            let mut c = L2Cache::new(4 * 1024, 4);
+            churn_l2(&mut c, n);
+            c.reset();
+            assert_eq!(c, L2Cache::new(4 * 1024, 4), "after {n} installs");
+            churn_l2(&mut c, n);
+            c.wipe();
+            c.reset();
+            assert_eq!(
+                c,
+                L2Cache::new(4 * 1024, 4),
+                "after {n} installs and a wipe"
+            );
+        }
+    }
+
+    #[test]
+    fn fill_list_never_outgrows_the_way_count() {
+        // Flush/refill churn: the refill lands on the invalidated (but no
+        // longer pristine) way, so nothing is recorded twice.
+        let mut l1 = L1Cache::new(2 * 1024, 2);
+        let mut l2 = L2Cache::new(512, 2);
+        for round in 0..1000u64 {
+            let line = LineAddr(round % 97);
+            l1.insert(line, data(1), Mesi::Modified, round);
+            l1.invalidate(line);
+            l1.insert(line, data(2), Mesi::Exclusive, 0);
+            l1.invalidate(line);
+            let way = l2.victim_way(line);
+            l2.install(way, line, data(1), 0, true);
+            l2.way_mut(way).valid = false;
+            let way = l2.victim_way(line);
+            l2.install(way, line, data(2), 1, false);
+            l2.way_mut(way).valid = false;
+            assert!(l1.filled.len() <= l1.lines.len());
+            assert!(l2.filled.len() <= l2.lines.len());
+        }
+        for filled in [&l1.filled, &l2.filled] {
+            let mut ways = filled.clone();
+            ways.sort_unstable();
+            ways.dedup();
+            assert_eq!(ways.len(), filled.len(), "a way was recorded twice");
+        }
     }
 }

@@ -126,9 +126,15 @@ impl Machine {
     ///
     /// Panics if the configuration is invalid.
     pub fn new(cfg: MachineConfig) -> Self {
-        let cores = (0..cfg.cores).map(|i| CoreState::new(i, &cfg)).collect();
         let heap = PersistentHeap::new(cfg.nvmm_bytes as u64);
-        let mem = MemSystem::new(cfg);
+        Self::power_on(MemSystem::new(cfg), heap)
+    }
+
+    /// A machine over `mem` and `heap` with fresh cores at cycle 0.
+    fn power_on(mem: MemSystem, heap: PersistentHeap) -> Self {
+        let cores = (0..mem.cfg.cores)
+            .map(|i| CoreState::new(i, &mem.cfg))
+            .collect();
         Machine {
             mem,
             cores,
@@ -390,25 +396,39 @@ impl Machine {
     }
 
     /// Build a fresh machine (cold caches, zeroed core clocks) over the
-    /// same configuration and heap layout, with `image` installed as its
-    /// durable state. This is how a crash-state explorer materializes one
-    /// candidate post-crash world and runs real recovery on it.
+    /// same configuration and heap layout, with `image` as its durable
+    /// state. This is how a crash-state explorer materializes one
+    /// candidate post-crash world and runs real recovery on it; an
+    /// explorer judging many states in a row can [`Machine::refork`] a
+    /// spent machine instead, which builds the same machine without
+    /// reallocating its caches.
     ///
     /// # Panics
     ///
     /// Panics if `image` does not match the configured NVMM capacity.
     pub fn fork_with_image(&self, image: crate::mem::Nvmm) -> Machine {
-        let cfg = self.cfg().clone();
-        let cores = (0..cfg.cores).map(|i| CoreState::new(i, &cfg)).collect();
-        let heap = self.heap.clone();
-        let mut mem = MemSystem::new(cfg);
-        mem.install_nvmm(image);
-        Machine {
-            mem,
-            cores,
-            heap,
-            regions_run: 0,
-        }
+        let mem = MemSystem::with_nvmm(self.cfg().clone(), image);
+        Self::power_on(mem, self.heap.clone())
+    }
+
+    /// Recycle this spent machine into `template.fork_with_image(image)`.
+    ///
+    /// The result is equal to that fork in every observable respect:
+    /// cores, memory controller, statistics, crash trigger, observer,
+    /// census/snapshot/candidate state and open regions are all built
+    /// fresh, and the cache arrays are reset to their newly built state.
+    /// Only the cache allocations are reused, and the reset costs just
+    /// the ways this machine ever filled, so judging many crash states
+    /// one after another allocates nothing per state. `self` may be in
+    /// any state — crashed, mid-recovery, holding poisoned lines.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` was built with a different configuration from
+    /// `template`, or `image` does not match the configured NVMM capacity.
+    pub fn refork(self, template: &Machine, image: crate::mem::Nvmm) -> Machine {
+        let mem = self.mem.recycle(template.cfg().clone(), image);
+        Self::power_on(mem, template.heap.clone())
     }
 
     /// Arm the crash trigger for the next run.

@@ -253,17 +253,66 @@ pub struct MemSystem {
 }
 
 impl MemSystem {
-    /// Build the memory system for a validated configuration.
+    /// Build the memory system for a validated configuration, over a
+    /// zero-filled NVMM image.
     ///
     /// # Panics
     ///
     /// Panics if `cfg.validate()` fails.
     pub fn new(cfg: MachineConfig) -> Self {
+        let image = Nvmm::new(cfg.nvmm_bytes);
+        Self::with_nvmm(cfg, image)
+    }
+
+    /// Build the memory system for a validated configuration with `image`
+    /// as its durable state and cold caches (crash-state exploration
+    /// forks a post-crash world this way).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.validate()` fails or the image capacity does not
+    /// match `cfg.nvmm_bytes`.
+    pub(crate) fn with_nvmm(cfg: MachineConfig, image: Nvmm) -> Self {
         cfg.validate().expect("invalid machine configuration");
         let l1s = (0..cfg.cores)
             .map(|_| L1Cache::new(cfg.l1_bytes, cfg.l1_assoc))
             .collect();
         let l2 = L2Cache::new(cfg.l2_bytes, cfg.l2_assoc);
+        Self::assemble(cfg, l1s, l2, image)
+    }
+
+    /// [`MemSystem::with_nvmm`] over this system's cache arrays, reset to
+    /// their newly built state instead of reallocated. Every other part
+    /// is built fresh, so the result equals `with_nvmm(cfg, image)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` differs from the configuration this system was
+    /// built with, or the image capacity does not match it.
+    pub(crate) fn recycle(self, cfg: MachineConfig, image: Nvmm) -> Self {
+        assert_eq!(
+            self.cfg, cfg,
+            "a recycled memory system must keep its configuration"
+        );
+        let MemSystem {
+            mut l1s, mut l2, ..
+        } = self;
+        for l1 in &mut l1s {
+            l1.reset();
+        }
+        l2.reset();
+        Self::assemble(cfg, l1s, l2, image)
+    }
+
+    /// The one place a memory system is put together: `cfg` is validated
+    /// and the caches are newly built or reset; everything else starts
+    /// from its power-on state.
+    fn assemble(cfg: MachineConfig, l1s: Vec<L1Cache>, l2: L2Cache, nvmm: Nvmm) -> Self {
+        assert_eq!(
+            nvmm.capacity(),
+            cfg.nvmm_bytes,
+            "NVMM image capacity must match cfg.nvmm_bytes"
+        );
         let mc = MemCtrl::new(
             cfg.mc_read_queue,
             cfg.mc_write_queue,
@@ -272,7 +321,6 @@ impl MemSystem {
             cfg.nvmm_read_cycles(),
             cfg.nvmm_write_cycles(),
         );
-        let nvmm = Nvmm::new(cfg.nvmm_bytes);
         let cleaner = cfg.cleaner.map(CleanerState::new);
         let open_regions = vec![None; cfg.cores];
         let l1_memo = vec![(u64::MAX, 0usize); cfg.cores];
@@ -667,20 +715,6 @@ impl MemSystem {
     /// Whether any NVMM line is currently poisoned (no allocation).
     pub fn has_poisoned_lines(&self) -> bool {
         self.nvmm.poisoned_count() != 0
-    }
-
-    /// Replace the durable image wholesale (crash-state exploration).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the image capacity does not match the configuration.
-    pub fn install_nvmm(&mut self, image: Nvmm) {
-        assert_eq!(
-            image.capacity(),
-            self.cfg.nvmm_bytes,
-            "installed image capacity must match cfg.nvmm_bytes"
-        );
-        self.nvmm = image;
     }
 
     /// Drop any cached copy of `line` without writeback (used by `poke` so
