@@ -496,32 +496,28 @@ impl MemSystem {
         // then re-dirtied holds strictly newer data in the cache.
         for idx in self.l2.valid_ways() {
             let w = self.l2.way(idx);
-            let mut entry = if w.dirty {
-                Some(CensusEntry {
-                    line: w.line,
-                    data: w.data,
-                    origin: CensusOrigin::DirtyL2,
-                })
-            } else {
-                None
+            let (data, origin) = match self.modified_l1_copy(idx) {
+                Some((o, i1)) => (self.l1s[o].way(i1).data, CensusOrigin::DirtyL1 { core: o }),
+                None if w.dirty => (w.data, CensusOrigin::DirtyL2),
+                None => continue,
             };
-            if let Some(o) = w.owner.map(usize::from) {
-                if let Some(i1) = self.l1s[o].find(w.line) {
-                    let w1 = self.l1s[o].way(i1);
-                    if w1.state == Mesi::Modified {
-                        entry = Some(CensusEntry {
-                            line: w.line,
-                            data: w1.data,
-                            origin: CensusOrigin::DirtyL1 { core: o },
-                        });
-                    }
-                }
-            }
-            if let Some(e) = entry {
-                entries.push(e);
-            }
+            entries.push(CensusEntry {
+                line: w.line,
+                data,
+                origin,
+            });
         }
         CrashCensus { base, entries }
+    }
+
+    /// The directory owner's L1 copy of the line in L2 way `l2idx`, as
+    /// `(core, L1 way)`, when that copy is `Modified` (fresher than the
+    /// L2's).
+    fn modified_l1_copy(&self, l2idx: usize) -> Option<(usize, usize)> {
+        let w = self.l2.way(l2idx);
+        let o = usize::from(w.owner?);
+        let i1 = self.l1s[o].find(w.line)?;
+        (self.l1s[o].way(i1).state == Mesi::Modified).then_some((o, i1))
     }
 
     // ------------------------------------------------------------------
@@ -762,50 +758,29 @@ impl MemSystem {
         out.clear();
         for idx in self.l2.valid_ways() {
             let w = self.l2.way(idx);
-            let mut entry: Option<crate::debug::DirtyLine> = None;
-            if w.dirty {
-                entry = Some(crate::debug::DirtyLine {
-                    line: w.line,
-                    owner: None,
-                    dirty_since: w.dirty_since,
-                });
-            }
-            if let Some(o) = w.owner.map(usize::from) {
-                if let Some(i1) = self.l1s[o].find(w.line) {
-                    let w1 = self.l1s[o].way(i1);
-                    if w1.state == Mesi::Modified {
-                        let since =
-                            entry.map_or(w1.dirty_since, |e| e.dirty_since.min(w1.dirty_since));
-                        entry = Some(crate::debug::DirtyLine {
-                            line: w.line,
-                            owner: Some(o),
-                            dirty_since: since,
-                        });
-                    }
+            let l2_since = w.dirty.then_some(w.dirty_since);
+            let (owner, dirty_since) = match (self.modified_l1_copy(idx), l2_since) {
+                (Some((o, i1)), _) => {
+                    let since = self.l1s[o].way(i1).dirty_since;
+                    (Some(o), l2_since.map_or(since, |s| s.min(since)))
                 }
-            }
-            if let Some(e) = entry {
-                out.push(e);
-            }
+                (None, Some(s)) => (None, s),
+                (None, None) => continue,
+            };
+            out.push(crate::debug::DirtyLine {
+                line: w.line,
+                owner,
+                dirty_since,
+            });
         }
     }
 
     /// Number of currently dirty lines anywhere in the hierarchy.
     pub fn dirty_lines(&self) -> usize {
-        let mut n = 0;
-        for idx in self.l2.valid_ways() {
-            let w = self.l2.way(idx);
-            let mut dirty = w.dirty;
-            if let Some(o) = w.owner {
-                if let Some(i1) = self.l1s[o as usize].find(w.line) {
-                    dirty |= self.l1s[o as usize].way(i1).state == Mesi::Modified;
-                }
-            }
-            if dirty {
-                n += 1;
-            }
-        }
-        n
+        self.l2
+            .valid_ways()
+            .filter(|&i| self.l2.way(i).dirty || self.modified_l1_copy(i).is_some())
+            .count()
     }
 
     // ------------------------------------------------------------------
@@ -1230,33 +1205,21 @@ impl MemSystem {
     /// Returns the number of lines written.
     pub fn writeback_all_dirty(&mut self, now: u64, cause: WriteCause) -> u64 {
         let mut written = 0;
-        for way in 0..self.l2.num_ways() {
-            if !self.l2.way(way).valid {
+        let mut from = 0;
+        while let Some(way) = self.l2.next_filled_way(from) {
+            from = way + 1;
+            let w = self.l2.way(way);
+            if !w.valid {
                 continue;
             }
-            let (line, owner) = {
-                let w = self.l2.way(way);
-                (w.line, w.owner)
-            };
-            let mut dirty;
-            let mut data;
-            let mut dirty_since;
-            {
-                let w = self.l2.way(way);
-                dirty = w.dirty;
-                data = w.data;
-                dirty_since = if w.dirty { w.dirty_since } else { u64::MAX };
-            }
-            if let Some(o) = owner.map(usize::from) {
-                if let Some(i1) = self.l1s[o].find(line) {
-                    let w1 = self.l1s[o].way_mut(i1);
-                    if w1.state == Mesi::Modified {
-                        data = w1.data;
-                        dirty_since = dirty_since.min(w1.dirty_since);
-                        dirty = true;
-                        w1.state = Mesi::Exclusive;
-                    }
-                }
+            let (line, mut dirty, mut data) = (w.line, w.dirty, w.data);
+            let mut dirty_since = if w.dirty { w.dirty_since } else { u64::MAX };
+            if let Some((o, i1)) = self.modified_l1_copy(way) {
+                let w1 = self.l1s[o].way_mut(i1);
+                data = w1.data;
+                dirty_since = dirty_since.min(w1.dirty_since);
+                dirty = true;
+                w1.state = Mesi::Exclusive;
             }
             if dirty {
                 self.retire_pending_line(line);
@@ -1465,13 +1428,24 @@ impl MemSystem {
     ///    holds the line at all while it does.
     /// 4. *Shared is clean everywhere or owned nowhere*: a line with
     ///    multiple sharers has every copy `Shared`.
+    /// 5. *Fill map*: every valid L1/L2 way has its fill bit set, so the
+    ///    fill-map walks (`valid_ways`, `wipe`, `reset`, drains) miss no
+    ///    line.
     ///
-    /// Intended for tests and debugging (walks every line).
+    /// Intended for tests and debugging (walks every way of every array,
+    /// independently of the fill maps).
     pub fn check_invariants(&self) -> Result<(), String> {
-        // 1 + 2 (forward): each L1 line is in L2 with our bit set.
+        // 1 + 2 (forward) + 5: each L1 line is filled, and in L2 with our
+        // bit set.
         for (c, l1) in self.l1s.iter().enumerate() {
-            for idx in l1.valid_ways() {
+            for idx in (0..l1.num_ways()).filter(|&i| l1.way(i).state != Mesi::Invalid) {
                 let w1 = l1.way(idx);
+                if !l1.is_filled(idx) {
+                    return Err(format!(
+                        "fill map: core {c} way {idx} holds {} with its fill bit clear",
+                        w1.line
+                    ));
+                }
                 let Some(l2idx) = self.l2.find(w1.line) else {
                     return Err(format!("inclusion: core {c} holds {} not in L2", w1.line));
                 };
@@ -1491,9 +1465,15 @@ impl MemSystem {
                 }
             }
         }
-        // 2 (backward) + 3 + 4 from the directory side.
-        for l2idx in self.l2.valid_ways() {
+        // 2 (backward) + 3 + 4 + 5 from the directory side.
+        for l2idx in (0..self.l2.num_ways()).filter(|&i| self.l2.way(i).valid) {
             let w2 = self.l2.way(l2idx);
+            if !self.l2.is_filled(l2idx) {
+                return Err(format!(
+                    "fill map: L2 way {l2idx} holds {} with its fill bit clear",
+                    w2.line
+                ));
+            }
             let mut holders = 0u32;
             let mut exclusive_holder = None;
             for c in sharer_bits(w2.sharers) {
@@ -1826,6 +1806,26 @@ mod tests {
             }
             assert_eq!(ms.check_invariants(), Ok(()), "after step {step}");
         }
+    }
+
+    #[test]
+    fn invariants_catch_a_valid_way_missing_its_fill_bit() {
+        let filled = || {
+            let mut ms = MemSystem::new(small_cfg());
+            write_u64(&mut ms, 0, Addr(64 * 3), 1, 0);
+            assert_eq!(ms.check_invariants(), Ok(()));
+            ms
+        };
+        let mut ms = filled();
+        ms.l1s[0].forget_fills();
+        assert!(ms
+            .check_invariants()
+            .is_err_and(|e| e.starts_with("fill map: core 0")));
+        let mut ms = filled();
+        ms.l2.forget_fills();
+        assert!(ms
+            .check_invariants()
+            .is_err_and(|e| e.starts_with("fill map: L2")));
     }
 
     #[test]
