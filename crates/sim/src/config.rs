@@ -37,8 +37,6 @@ pub struct MachineConfig {
     /// Reorder-buffer capacity; used as the backlog threshold in the
     /// structural-hazard model.
     pub rob_entries: usize,
-    /// Load-queue capacity.
-    pub load_queue: usize,
     /// Store-queue capacity (stores and cache-line flushes occupy entries
     /// until their writeback completes).
     pub store_queue: usize,
@@ -96,7 +94,6 @@ impl Default for MachineConfig {
             freq_ghz: 2.0,
             issue_width: 4,
             rob_entries: 196,
-            load_queue: 48,
             store_queue: 48,
             mshrs: 16,
             mlp: 4,
@@ -206,7 +203,7 @@ impl MachineConfig {
                 return Err(format!("{name} set count {sets} must be a power of two"));
             }
         }
-        if self.load_queue == 0 || self.store_queue == 0 || self.mshrs == 0 {
+        if self.store_queue == 0 || self.mshrs == 0 {
             return Err("queues and MSHRs must be non-zero".into());
         }
         if self.mc_read_queue == 0 || self.mc_write_queue == 0 {
@@ -236,7 +233,6 @@ mod tests {
         assert_eq!(c.nvmm_read_ns, 150);
         assert_eq!(c.nvmm_write_ns, 300);
         assert_eq!(c.rob_entries, 196);
-        assert_eq!(c.load_queue, 48);
         assert_eq!(c.store_queue, 48);
         assert_eq!(c.mc_read_queue, 32);
         assert_eq!(c.mc_write_queue, 64);

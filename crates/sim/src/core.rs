@@ -1,10 +1,15 @@
 //! Per-core execution model and the [`CoreCtx`] operation API.
 //!
-//! Each logical core has its own cycle clock, a load queue, a store queue
-//! (stores *and* cache-line flushes occupy entries until their writeback
-//! completes — this is what makes Eager Persistency pile up FUW hazards in
-//! Table VI), a set of MSHRs bounding outstanding L1 misses, and a pending
-//! drain time that `sfence` waits for.
+//! Each logical core has its own cycle clock, a store queue (stores *and*
+//! cache-line flushes occupy entries until their writeback completes —
+//! this is what makes Eager Persistency pile up FUW hazards in Table VI),
+//! a set of MSHRs bounding outstanding L1 misses, and a pending drain time
+//! that `sfence` waits for.
+//!
+//! Loads carry no queue: a load charges its latency to the core's clock
+//! before it retires, so it would enter a load queue already complete,
+//! and every clock update moves forward. Such a queue could never hold an
+//! in-flight entry, stall an issue, or count in the ROB backlog.
 //!
 //! Kernels never touch the caches directly; they issue operations through
 //! [`CoreCtx`], which charges time, applies the functional effect through
@@ -27,8 +32,6 @@ pub struct CoreState {
     pub cycles: u64,
     /// Sub-issue-width remainder for the compute model.
     compute_rem: u64,
-    /// Completion times of in-flight loads.
-    lq: VecDeque<u64>,
     /// Completion times of in-flight stores/flushes.
     sq: VecDeque<u64>,
     /// Busy-until times of the miss-status-holding registers.
@@ -41,10 +44,10 @@ pub struct CoreState {
     /// `log2(issue_width)` when the width is a power of two, letting the
     /// per-op issue accounting use shifts instead of hardware division.
     width_shift: Option<u32>,
-    /// Whether `load_queue + store_queue >= rob_entries`, i.e. whether the
-    /// ROB-full condition in [`CoreCtx::compute`] is reachable at all for
-    /// this configuration (both queues are capped, so when their combined
-    /// capacity is below the ROB size the check can be skipped).
+    /// Whether `store_queue >= rob_entries`, i.e. whether the ROB-full
+    /// condition in [`CoreCtx::compute`] is reachable at all for this
+    /// configuration (the store queue is capped, so when its capacity is
+    /// below the ROB size the check can be skipped).
     rob_reachable: bool,
     /// Event counters.
     pub stats: CoreStats,
@@ -57,7 +60,6 @@ impl CoreState {
             id,
             cycles: 0,
             compute_rem: 0,
-            lq: VecDeque::with_capacity(cfg.load_queue),
             sq: VecDeque::with_capacity(cfg.store_queue),
             mshr: vec![0u64; cfg.mshrs],
             pending_drain: 0,
@@ -67,7 +69,7 @@ impl CoreState {
             } else {
                 None
             },
-            rob_reachable: cfg.load_queue + cfg.store_queue >= cfg.rob_entries,
+            rob_reachable: cfg.store_queue >= cfg.rob_entries,
             stats: CoreStats::default(),
         }
     }
@@ -90,7 +92,6 @@ impl CoreState {
     pub fn reset(&mut self) {
         self.cycles = 0;
         self.compute_rem = 0;
-        self.lq.clear();
         self.sq.clear();
         self.mshr.iter_mut().for_each(|t| *t = 0);
         self.pending_drain = 0;
@@ -98,17 +99,12 @@ impl CoreState {
         self.stats = CoreStats::default();
     }
 
-    /// Number of in-flight ops (completion after `now`) across both queues.
+    /// Number of in-flight stores/flushes (completion after `now`).
     ///
-    /// Both queues hold nondecreasing completion times (see
+    /// The store queue holds nondecreasing completion times (see
     /// [`CoreState::push_sorted`]), so this is a binary search, not a scan.
     fn backlog(&self, now: u64) -> usize {
-        Self::in_flight(&self.lq, now) + Self::in_flight(&self.sq, now)
-    }
-
-    /// Entries of a sorted queue with completion after `now`.
-    fn in_flight(q: &VecDeque<u64>, now: u64) -> usize {
-        let (a, b) = q.as_slices();
+        let (a, b) = self.sq.as_slices();
         if b.first().is_some_and(|&t| t <= now) {
             // Everything in `a` precedes (≤) b's first element.
             b.len() - b.partition_point(|&t| t <= now)
@@ -125,8 +121,7 @@ impl CoreState {
     }
 
     /// Append a completion time, asserting (debug only) the queue stays
-    /// sorted: load completions are pushed at the core's nondecreasing
-    /// clock, and store/flush completions are chained through `sq_chain`.
+    /// sorted: store/flush completions are chained through `sq_chain`.
     fn push_sorted(q: &mut VecDeque<u64>, t: u64) {
         debug_assert!(q.back().is_none_or(|&b| b <= t), "queue must stay sorted");
         q.push_back(t);
@@ -140,20 +135,6 @@ impl CoreState {
     fn account_blocked_issue(&mut self, stall: u64, width: u64) {
         self.stats.fui_events += stall * width / 2;
         self.stats.fur_events += stall * width * 2 / 5;
-    }
-
-    /// Reserve a load-queue slot, stalling (and counting FUR events) if
-    /// the queue is full.
-    fn acquire_lq_slot(&mut self, cap: usize, width: u64) {
-        Self::drain_queue(&mut self.lq, self.cycles);
-        if self.lq.len() >= cap {
-            let min = *self.lq.front().expect("non-empty");
-            self.stats.fur_events += 1;
-            let stall = min.saturating_sub(self.cycles);
-            self.account_blocked_issue(stall, width);
-            self.cycles = self.cycles.max(min);
-            Self::drain_queue(&mut self.lq, self.cycles);
-        }
     }
 
     /// Reserve a store-queue slot, stalling (and counting FUW events) if
@@ -295,8 +276,6 @@ impl<'a> CoreCtx<'a> {
         }
         self.core.stats.loads += 1;
         self.core.stats.instructions += 1;
-        self.core
-            .acquire_lq_slot(self.mem.cfg.load_queue, self.mem.cfg.issue_width);
         let line = addr.line();
         let (access, way) = self.access_line(line, false);
         if access.l1_hit {
@@ -313,7 +292,6 @@ impl<'a> CoreCtx<'a> {
             let charged = l1 + access.cost.saturating_sub(l1) / self.mem.cfg.mlp;
             self.core.cycles += charged;
         }
-        CoreState::push_sorted(&mut self.core.lq, self.core.cycles);
         let v = self.mem.l1_read_scalar_at::<T>(self.core.id, way, addr);
         self.mem
             .observe_load(self.core.id, self.core.cycles, addr, T::SIZE);

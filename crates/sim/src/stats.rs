@@ -112,7 +112,8 @@ pub struct CoreStats {
     /// Events where a compute op issued into a saturated back-end
     /// (Table VI "FUI" proxy: in-flight backlog exceeded the ROB threshold).
     pub fui_events: u64,
-    /// Events where a load found the load queue full (Table VI "FUR").
+    /// Load issue slots blocked by pipeline stalls (Table VI "FUR" proxy:
+    /// 40% of the slots each stall blocks; loads themselves never queue).
     pub fur_events: u64,
     /// Events where a store/flush found the store queue full (Table VI "FUW").
     pub fuw_events: u64,
