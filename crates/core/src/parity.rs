@@ -197,42 +197,44 @@ pub enum RepairVerdict {
 /// re/im pair) list their slots across arrays in store order.
 pub type Slot<T> = (PArray<T>, usize);
 
-/// The values of one region in fold order, with the elements of a target
-/// line replaced by their parity reconstruction. `None` when the region
-/// does not fully own the target line's eight words (a partial line can
-/// never be scrubbed whole, so reconstruction is refused).
+/// Fill `vals` (cleared first) with the values of one region in fold
+/// order, the elements of a target line replaced by their parity
+/// reconstruction. `false` when the region does not fully own the target
+/// line's eight words (a partial line can never be scrubbed whole, so
+/// reconstruction is refused).
 fn reconstruct<T: Scalar>(
     ctx: &mut CoreCtx<'_>,
     parity: &ParityArena,
     key: usize,
     slots: &[Slot<T>],
     target: LineAddr,
-) -> Option<Vec<u64>> {
+    vals: &mut Vec<u64>,
+) -> bool {
     let mut lanes = parity.load_lanes(ctx, key);
-    let mut vals = Vec::with_capacity(slots.len());
+    vals.clear();
     let mut owned = 0usize;
     for &(arr, i) in slots {
         let a = arr.addr(i);
         if a.line() == target {
             owned += 1;
-            vals.push(None);
+            vals.push(0);
         } else {
             let bits = ctx.load(arr, i).to_bits64();
             lanes[lane_of(a)] ^= bits;
-            vals.push(Some(bits));
+            vals.push(bits);
         }
     }
     ctx.compute(slots.len() as u64 * PARITY_FOLD_OPS);
     if owned != WORDS_PER_LINE {
-        return None;
+        return false;
     }
-    Some(
-        slots
-            .iter()
-            .zip(vals)
-            .map(|(&(arr, i), v)| v.unwrap_or_else(|| lanes[lane_of(arr.addr(i))]))
-            .collect(),
-    )
+    for (&(arr, i), v) in slots.iter().zip(vals.iter_mut()) {
+        let a = arr.addr(i);
+        if a.line() == target {
+            *v = lanes[lane_of(a)];
+        }
+    }
+    true
 }
 
 /// Whether `bits`, folded with `kind` in order, matches the *already
@@ -321,9 +323,10 @@ pub fn try_poison_repair<T: Scalar>(
     let Some(stored) = table.load(ctx, key) else {
         return RepairVerdict::Failed;
     };
-    let Some(bits) = reconstruct(ctx, parity, key, slots, target) else {
+    let mut bits = Vec::with_capacity(slots.len());
+    if !reconstruct(ctx, parity, key, slots, target, &mut bits) {
         return RepairVerdict::Failed;
-    };
+    }
     ctx.compute(slots.len() as u64 * kind.cost_ops());
     if !folds_to(kind, &bits, stored) {
         return RepairVerdict::Failed;
@@ -360,10 +363,11 @@ pub fn try_mismatch_repair<T: Scalar>(
     let mut lines: Vec<LineAddr> = slots.iter().map(|&(arr, i)| arr.addr(i).line()).collect();
     lines.sort_unstable();
     lines.dedup();
+    let mut bits = Vec::with_capacity(slots.len());
     for &target in &lines {
-        let Some(bits) = reconstruct(ctx, parity, key, slots, target) else {
+        if !reconstruct(ctx, parity, key, slots, target, &mut bits) {
             continue;
-        };
+        }
         ctx.compute(slots.len() as u64 * kind.cost_ops());
         if folds_to(kind, &bits, stored) {
             write_back_line(ctx, slots, &bits, target);
@@ -598,7 +602,15 @@ mod tests {
         // The tautology itself: substituting line 0 from parity makes the
         // XOR fold match the stored checksum even though line 1 is corrupt.
         let stored = h.table.load(&mut ctx, 1).unwrap();
-        let bits = reconstruct(&mut ctx, &h.parity, 1, &slots, arr.addr(0).line()).unwrap();
+        let mut bits = Vec::new();
+        assert!(reconstruct(
+            &mut ctx,
+            &h.parity,
+            1,
+            &slots,
+            arr.addr(0).line(),
+            &mut bits
+        ));
         assert!(
             folds_to(ChecksumKind::Parity, &bits, stored),
             "XOR fold of any parity substitution collapses to the lane XOR"
@@ -641,7 +653,8 @@ mod tests {
         let slots = to_slots(arr, &(0..32).collect::<Vec<_>>());
         let mut ctx = m.ctx(0);
         let stored = h.table.load(&mut ctx, 1).unwrap();
-        let bits = reconstruct(&mut ctx, &h.parity, 1, &slots, line).unwrap();
+        let mut bits = Vec::new();
+        assert!(reconstruct(&mut ctx, &h.parity, 1, &slots, line, &mut bits));
         assert_eq!(
             bits[3],
             w_target ^ (1u64 << b),

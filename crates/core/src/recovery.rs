@@ -62,7 +62,8 @@ pub struct RecoveryStats {
     /// Regions rebuilt because their lines intersected poisoned (media
     /// fault) NVMM — the checksum verdict was never trusted for these.
     pub regions_quarantined: u64,
-    /// Cycles spent in recovery (filled by the kernel harness).
+    /// Simulated cycles the pass spent, on the recovering core's clock
+    /// (set by [`Recovery::finish`]; [`RecoveryStats::merge`] sums it).
     pub cycles: u64,
 }
 
