@@ -107,7 +107,7 @@ for wl in recover kernels census faults; do
 done
 rm -f /tmp/lp_pins_recover.json /tmp/lp_pins_kernels.json /tmp/lp_pins_census.json /tmp/lp_pins_faults.json
 
-echo "== perf baseline: refresh results/BENCH_10.json + regression + cycle-invariance check vs BENCH_9 =="
+echo "== perf baseline: regression + cycle-invariance check vs BENCH_9 (writes nothing under results/) =="
 # --check compares fresh best-of-reps rates (units / wall_min — robust
 # to scheduler noise on millisecond cells) against the stored BENCH_9
 # baseline and exits nonzero past tolerance (best rate >= 0.5x baseline,
@@ -116,9 +116,10 @@ echo "== perf baseline: refresh results/BENCH_10.json + regression + cycle-invar
 # It is also the cycle-invariance gate: the sim/ cells' sim_cycles and
 # memops must match the stored baseline EXACTLY (the timing model is
 # pinned; any drift is a semantic regression, not noise), and each sim
-# cell must finish within its wall-time budget. The BENCH_10 refresh
-# adds a sim/tmm/LP+par(crc32) cell (new vs BENCH_9 — informational this
-# round, pinned from the next). JSON to stdout; check verdict to stderr.
+# cell must finish within its wall-time budget. The sim/tmm/LP+par(crc32)
+# cell is new vs BENCH_9 (informational). JSON to stdout; check verdict
+# to stderr. Refreshing results/BENCH_10.json and bench_summary.txt is a
+# deliberate run without --check.
 cargo run --release -q -p lp-bench --bin perf_baseline -- --quick --check results/BENCH_9.json > /dev/null
 
 echo "ci.sh: all gates passed"

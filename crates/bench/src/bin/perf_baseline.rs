@@ -10,15 +10,18 @@
 //! Measurement protocol (fixed, not adaptive, so runs are comparable
 //! across commits): every cell uses a fixed workload size, runs one
 //! untimed warmup pass, then three timed repetitions, and reports the
-//! median wall time (min/max recorded as spread). Emits
-//! `results/BENCH_10.json` (hand-rolled JSON; the workspace carries no
-//! serde) with the host's logical CPU count, and refreshes the perf
-//! section of `results/bench_summary.txt`. Run with `--quick` for the
-//! CI-sized workload.
+//! median wall time (min/max recorded as spread). Prints the JSON
+//! (hand-rolled; the workspace carries no serde) with the host's logical
+//! CPU count. Without `--check`, it also writes it to
+//! `results/BENCH_10.json` and refreshes the perf section of
+//! `results/bench_summary.txt`. Run with `--quick` for the CI-sized
+//! workload.
 //!
 //! Regression gate: `--check PATH` compares the fresh measurements
 //! against an older baseline JSON (BENCH_7/8/9/10 format) and exits
-//! nonzero when a matched entry rots past tolerance. Documented
+//! nonzero when a matched entry rots past tolerance. A check writes
+//! nothing under `results/`: refreshing the committed baseline stays a
+//! deliberate run without `--check`. Documented
 //! tolerances (generous, because CI runners are shared and the host may
 //! have a single core): a best-of-reps rate (units / `wall_min`, the
 //! noise-robust statistic for millisecond-scale cells) must stay above
@@ -595,10 +598,16 @@ fn main() {
     });
 
     let json = render_json(quick, &entries);
+    println!("{json}");
+    if let Some(baseline) = check {
+        if check_against(&baseline, quick, &entries) > 0 {
+            std::process::exit(1);
+        }
+        return;
+    }
     let path = std::path::Path::new("results").join("BENCH_10.json");
     std::fs::create_dir_all("results").expect("create results/");
     std::fs::write(&path, &json).expect("write BENCH_10.json");
-    println!("{json}");
     eprintln!("perf_baseline: wrote {}", path.display());
     refresh_summary(
         &std::path::Path::new("results").join("bench_summary.txt"),
@@ -606,10 +615,4 @@ fn main() {
         &entries,
     );
     eprintln!("perf_baseline: refreshed results/bench_summary.txt");
-
-    if let Some(baseline) = check {
-        if check_against(&baseline, quick, &entries) > 0 {
-            std::process::exit(1);
-        }
-    }
 }
