@@ -107,6 +107,11 @@ for wl in recover kernels census faults; do
 done
 rm -f /tmp/lp_pins_recover.json /tmp/lp_pins_kernels.json /tmp/lp_pins_census.json /tmp/lp_pins_faults.json
 
+echo "== perfbench tests: manifest contract, traced-run nesting, seed determinism =="
+# perfbench builds against lp-sim, lp-core, lp-kernels and lp-crashmc by
+# path, so an API change in those crates must keep its own tests passing.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== perf baseline: regression + cycle-invariance check vs BENCH_9 (writes nothing under results/) =="
 # --check compares fresh best-of-reps rates (units / wall_min — robust
 # to scheduler noise on millisecond cells) against the stored BENCH_9

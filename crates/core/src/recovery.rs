@@ -119,26 +119,10 @@ pub fn region_consistent<T: Scalar>(
 ) -> bool {
     let mut ck = RunningChecksum::new(kind);
     let ops = kind.cost_ops();
-    // Coalesce consecutive elements of one array into runs and dispatch
-    // each run as one batched load-fold — the per-element load/fold/compute
-    // order (and so every cycle and checksum step) is identical to the
-    // element-at-a-time loop; kernels' blocked regions are long contiguous
-    // runs in disguise.
-    let mut run: Option<(PArray<T>, usize, usize)> = None; // (array, start, len)
     for (arr, i) in slots {
-        match run {
-            Some((a, start, len)) if a == arr && start + len == i => {
-                run = Some((a, start, len + 1));
-            }
-            Some((a, start, len)) => {
-                ctx.load_fold(a, start, len, ops, |v: T| ck.update(v.to_bits64()));
-                run = Some((arr, i, 1));
-            }
-            None => run = Some((arr, i, 1)),
-        }
-    }
-    if let Some((a, start, len)) = run {
-        ctx.load_fold(a, start, len, ops, |v: T| ck.update(v.to_bits64()));
+        let v = ctx.load(arr, i);
+        ck.update(v.to_bits64());
+        ctx.compute(ops);
     }
     table.matches(ctx, key, ck.value())
 }

@@ -17,7 +17,6 @@
 //! | `Wal` | undo-log append (flushed) + staged store | Figure 2's flush+fence rounds |
 
 use crate::checksum::{ChecksumKind, RunningChecksum};
-use crate::ep::EagerCommitter;
 use crate::parity::{lane_of, ParityArena, PARITY_FOLD_OPS};
 use crate::table::ChecksumTable;
 use crate::track::{RangeRole, TrackedRange};
@@ -210,7 +209,6 @@ pub struct RegionSession {
     key: usize,
     ck: Option<RunningChecksum>,
     par: Option<[u64; 8]>,
-    eager: Option<EagerCommitter>,
     wal: Option<WalTx>,
 }
 
@@ -238,7 +236,6 @@ impl ThreadPersist {
                 _ => None,
             },
             par: matches!(self.scheme, Scheme::LazyParity(_)).then_some([0u64; 8]),
-            eager: matches!(self.scheme, Scheme::Eager).then(EagerCommitter::new),
             wal: self.arena.map(|a| a.begin()),
         }
     }
@@ -320,7 +317,6 @@ impl ThreadPersist {
             Scheme::Eager => {
                 // Wait until everything the region flushed is durable,
                 // then advance the durable progress marker.
-                drop(rs.eager);
                 ctx.sfence();
                 ctx.store(self.markers, self.tid, rs.key as u64 + 1);
                 ctx.clflushopt(self.markers.addr(self.tid));

@@ -14,7 +14,7 @@ const USAGE: &str = "\
 lp-crashmc: exhaustive crash-state model checker for the persistency schemes
 
 USAGE:
-  lp-crashmc [OPTIONS]                   check kernels x {LP, EP, WAL}
+  lp-crashmc [OPTIONS]                   check the Micro-scale kernels x {LP, EP, WAL}
   lp-crashmc --mutations [OPTIONS]       check the mutation-rig registry, each rig
                                          under its own fault class (each must
                                          yield >= 1 corrupt/stuck state, or stay
@@ -37,7 +37,6 @@ OPTIONS:
                     crash-free attempt (with nested)  [default: 2]
   --kernel NAME     tmm | cholesky | conv2d | gauss | fft | all [default: all]
   --scheme NAME     lazy | lazy-parity | eager | wal | all [default: all]
-  --scale NAME      micro | test                      [default: micro]
   --threads N       host worker threads for the exploration
                     [default: the machine's available parallelism]
                     Reports (stdout and JSON) are byte-identical at any
@@ -60,7 +59,6 @@ struct Args {
     seed: u64,
     kernel: Option<KernelId>,
     scheme: Option<Scheme>,
-    scale: Scale,
     threads: usize,
     mutations: bool,
     report: Option<String>,
@@ -81,7 +79,6 @@ fn parse_args() -> Args {
         seed: 42,
         kernel: None,
         scheme: None,
-        scale: Scale::Micro,
         threads: available_threads(),
         mutations: false,
         report: None,
@@ -152,16 +149,6 @@ fn parse_args() -> Args {
                     }
                 };
             }
-            "--scale" => {
-                out.scale = match value(&mut args, "--scale").as_str() {
-                    "micro" => Scale::Micro,
-                    "test" => Scale::Test,
-                    other => {
-                        eprintln!("unknown scale {other:?}\n\n{USAGE}");
-                        std::process::exit(2);
-                    }
-                };
-            }
             "--threads" => {
                 out.threads = value(&mut args, "--threads").parse().unwrap_or_else(|_| {
                     eprintln!("--threads needs a number");
@@ -227,14 +214,14 @@ fn parse_args() -> Args {
 
 fn select_cases(args: &Args) -> Vec<CheckCase> {
     match (args.kernel, args.scheme) {
-        (None, None) => all_kernel_cases(args.scale),
+        (None, None) => all_kernel_cases(Scale::Micro),
         (k, s) => {
             let kernels: Vec<_> = k.map_or_else(|| KernelId::ALL.to_vec(), |k| vec![k]);
             let schemes: Vec<_> = s.map_or_else(|| CLEAN_SCHEMES.to_vec(), |s| vec![s]);
             let mut out = Vec::new();
             for &kernel in &kernels {
                 for &scheme in &schemes {
-                    out.push(kernel_case(kernel, scheme, args.scale));
+                    out.push(kernel_case(kernel, scheme, Scale::Micro));
                 }
             }
             out

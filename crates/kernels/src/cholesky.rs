@@ -213,21 +213,11 @@ impl Kernel for Cholesky {
                 continue;
             }
             let mut s = self.a.load(ctx, r, j);
-            if j > 0 {
-                // Rows `r` and `j` of `l` are both contiguous in `k`;
-                // `sign = -1.0` makes the batched accumulator bit-identical
-                // to the open-coded `s -= lik * ljk` loop.
-                s = ctx.fma_run(
-                    self.l.array(),
-                    self.l.idx(r, 0),
-                    self.l.array(),
-                    self.l.idx(j, 0),
-                    1,
-                    j,
-                    MUL_ADD_OPS + IDX_OPS,
-                    -1.0,
-                    s,
-                );
+            for k in 0..j {
+                let lrk = self.l.load(ctx, r, k);
+                let ljk = self.l.load(ctx, j, k);
+                s -= lrk * ljk;
+                ctx.compute(MUL_ADD_OPS + IDX_OPS);
             }
             ctx.compute(MUL_ADD_OPS);
             sink.store(ctx, self.l.array(), self.l.idx(r, j), s / d);
@@ -308,14 +298,10 @@ impl Cholesky {
     /// Compute the diagonal value `l[j][j]` (loads row `j` of `l`).
     fn diag_value(&self, ctx: &mut CoreCtx<'_>, j: usize) -> f64 {
         let mut s = self.a.load(ctx, j, j);
-        if j > 0 {
-            ctx.load_fold(
-                self.l.array(),
-                self.l.idx(j, 0),
-                j,
-                MUL_ADD_OPS + IDX_OPS,
-                |v: f64| s -= v * v,
-            );
+        for k in 0..j {
+            let ljk = self.l.load(ctx, j, k);
+            s -= ljk * ljk;
+            ctx.compute(MUL_ADD_OPS + IDX_OPS);
         }
         ctx.compute(SQRT_OPS);
         s.sqrt()
@@ -356,7 +342,9 @@ impl Cholesky {
     fn zero_block(&self, ctx: &mut CoreCtx<'_>, block: usize) {
         let (bsize, window) = (self.params.bsize, self.params.col_window);
         for r in block * bsize..(block + 1) * bsize {
-            self.l.store_row_run(ctx, r, 0, window.min(r + 1), 0.0);
+            for k in 0..window.min(r + 1) {
+                self.l.store(ctx, r, k, 0.0);
+            }
             ctx.flush_range(self.l.array(), self.l.idx(r, 0), window.min(r + 1));
         }
         ctx.sfence();

@@ -100,57 +100,6 @@ impl PMatrix {
         ctx.store(self.data, self.idx(i, j), v);
     }
 
-    /// Batched dot-product dispatch of row `i` of `self` (contiguous in
-    /// `k`) against column `j` of `other` (strided by `other`'s padded row
-    /// stride): timing- and rounding-identical to the open-coded
-    /// `for k in k0..k0 + n { sum += sign * self[i, k] * other[k, j]; }`
-    /// loop with `ops_per_iter` ALU ops per iteration, `self[i, k]` loaded
-    /// before `other[k, j]`. Lives on `PMatrix` because the column walk
-    /// needs the private stride.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either run goes out of bounds.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn fma_row_col(
-        &self,
-        ctx: &mut CoreCtx<'_>,
-        i: usize,
-        k0: usize,
-        other: &PMatrix,
-        j: usize,
-        n: usize,
-        ops_per_iter: u64,
-        sign: f64,
-        init: f64,
-    ) -> f64 {
-        ctx.fma_run(
-            self.data,
-            self.idx(i, k0),
-            other.data,
-            other.idx(k0, j),
-            other.stride,
-            n,
-            ops_per_iter,
-            sign,
-            init,
-        )
-    }
-
-    /// Batched row-fill dispatch: store `v` into `(i, j0..j0 + count)`,
-    /// timing-identical to `count` individual [`PMatrix::store`] calls
-    /// (plain stores — the kernels' strip-zeroing rebuild shape).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run goes out of bounds.
-    #[inline]
-    pub fn store_row_run(&self, ctx: &mut CoreCtx<'_>, i: usize, j0: usize, count: usize, v: f64) {
-        debug_assert!(j0 + count <= self.cols, "row run out of bounds");
-        ctx.store_run(self.data, self.idx(i, j0), count, v);
-    }
-
     /// Untimed setup write.
     pub fn poke(&self, machine: &mut Machine, i: usize, j: usize, v: f64) {
         machine.poke(self.data, self.idx(i, j), v);
@@ -210,7 +159,9 @@ impl PMatrix {
     /// Panics if the rows are out of bounds.
     pub fn zero_rows(&self, ctx: &mut CoreCtx<'_>, row: usize, count: usize) {
         for i in row..row + count {
-            self.store_row_run(ctx, i, 0, self.cols, 0.0);
+            for j in 0..self.cols {
+                self.store(ctx, i, j, 0.0);
+            }
         }
         self.flush_rows(ctx, row, count);
         ctx.sfence();

@@ -215,18 +215,13 @@ impl Kernel for Tmm {
         for jj in (0..n).step_by(bsize) {
             for i in ii..ii + bsize {
                 for j in jj..jj + bsize {
-                    let init = self.c.load(ctx, i, j);
-                    let sum = self.a.fma_row_col(
-                        ctx,
-                        i,
-                        kk,
-                        &self.b,
-                        j,
-                        bsize,
-                        MUL_ADD_OPS + IDX_OPS,
-                        1.0,
-                        init,
-                    );
+                    let mut sum = self.c.load(ctx, i, j);
+                    for k in kk..kk + bsize {
+                        let aik = self.a.load(ctx, i, k);
+                        let bkj = self.b.load(ctx, k, j);
+                        sum += aik * bkj;
+                        ctx.compute(MUL_ADD_OPS + IDX_OPS);
+                    }
                     sink.store(ctx, self.c.array(), self.c.idx(i, j), sum);
                     ctx.compute(IDX_OPS);
                 }

@@ -54,7 +54,6 @@ pub mod cache;
 pub mod cleaner;
 pub mod config;
 pub mod core;
-pub mod debug;
 pub mod fault;
 pub mod json;
 pub mod machine;

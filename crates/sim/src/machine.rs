@@ -132,9 +132,7 @@ impl Machine {
 
     /// A machine over `mem` and `heap` with fresh cores at cycle 0.
     fn power_on(mem: MemSystem, heap: PersistentHeap) -> Self {
-        let cores = (0..mem.cfg.cores)
-            .map(|i| CoreState::new(i, &mem.cfg))
-            .collect();
+        let cores = (0..mem.cfg.cores).map(CoreState::new).collect();
         Machine {
             mem,
             cores,

@@ -109,8 +109,9 @@ pub struct CoreStats {
     pub fence_stall_cycles: u64,
     /// Events where an L1 miss found all MSHRs busy (Table VI "MSHR").
     pub mshr_full_events: u64,
-    /// Events where a compute op issued into a saturated back-end
-    /// (Table VI "FUI" proxy: in-flight backlog exceeded the ROB threshold).
+    /// Integer issue slots blocked by pipeline stalls (Table VI "FUI"
+    /// proxy: half the slots each store-queue, MSHR or fence stall
+    /// blocks).
     pub fui_events: u64,
     /// Load issue slots blocked by pipeline stalls (Table VI "FUR" proxy:
     /// 40% of the slots each stall blocks; loads themselves never queue).
