@@ -1,14 +1,19 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, build, tests, and the persistency
-# mutation suite. Run from the repo root before sending a PR.
+# Local CI gate: formatting, lints, build, tests, the persistency
+# mutation suite, and the repo benchmark against BASE on this host.
+#   ./ci.sh [BASE]    BASE defaults to HEAD~1, the parent commit.
 set -euo pipefail
 cd "$(dirname "$0")"
+BASE="${1:-HEAD~1}"
 
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (-D warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== cargo build --release =="
 cargo build --release --workspace
@@ -93,38 +98,21 @@ rm -f /tmp/lp_lint_diff.txt
 echo "== lp-lint: cost model vs measured flush/fence counters, all kernels x schemes =="
 cargo run --release -q -p lp-lint -- --cost-check
 
-echo "== perfbench pins: every recover/kernels cell and census/faults case on its pinned numbers =="
-# One pass per workload at seed 0 (--seconds 0). perfbench checks each
-# Bench-scale cell's rec_cycles / memops / exec_cycles, and each census
-# or faults case's states_checked / dedup_hits plus a clean report,
-# against perfbench/pins.txt and counts a cell or case that drifts (or
-# fails to verify) as failed; the final JSON line must report none.
-for wl in recover kernels census faults; do
-  cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
-    --workload "$wl" --seed 0 --seconds 0 --trace 0 | tail -n 1 > "/tmp/lp_pins_$wl.json"
-  grep -q '"failed": 0' "/tmp/lp_pins_$wl.json" \
-    || { echo "perfbench $wl: a cell or case failed or drifted from its pins"; cat "/tmp/lp_pins_$wl.json"; exit 1; }
-done
-rm -f /tmp/lp_pins_recover.json /tmp/lp_pins_kernels.json /tmp/lp_pins_census.json /tmp/lp_pins_faults.json
-
 echo "== perfbench tests: manifest contract, traced-run nesting, seed determinism =="
 # perfbench builds against lp-sim, lp-core, lp-kernels and lp-crashmc by
 # path, so an API change in those crates must keep its own tests passing.
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== perf baseline: regression + cycle-invariance check vs BENCH_9 (writes nothing under results/) =="
-# --check compares fresh best-of-reps rates (units / wall_min — robust
-# to scheduler noise on millisecond cells) against the stored BENCH_9
-# baseline and exits nonzero past tolerance (best rate >= 0.5x baseline,
-# 0.6x for the steadier single-threaded sim/ cells; speedup_vs_1 >=
-# baseline - 0.5, skipped when host_cpus differ from the baseline host).
-# It is also the cycle-invariance gate: the sim/ cells' sim_cycles and
-# memops must match the stored baseline EXACTLY (the timing model is
-# pinned; any drift is a semantic regression, not noise), and each sim
-# cell must finish within its wall-time budget. The sim/tmm/LP+par(crc32)
-# cell is new vs BENCH_9 (informational). JSON to stdout; check verdict
-# to stderr. Refreshing results/BENCH_10.json and bench_summary.txt is a
-# deliberate run without --check.
-cargo run --release -q -p lp-bench --bin perf_baseline -- --quick --check results/BENCH_9.json > /dev/null
+echo "== tools/test_ab.py: the A/B runner's verdict rules =="
+python3 tools/test_ab.py
+
+echo "== perfbench A/B vs $BASE on this host: 3 pairs per workload, --seconds 0 =="
+# Seed 0 of the change side is the pin check: perfbench compares every
+# Bench-scale cell's rec_cycles / memops / exec_cycles, and each census or
+# faults case's states_checked / dedup_hits plus a clean report, with
+# perfbench/pins.txt, and a run with a drifted or failed cell is not
+# correct. ab.py refuses any run that is not correct and fails on a metric
+# worse than the parent's by more than its BENCHMARK.json bound.
+python3 tools/ab.py "$BASE" --pairs 3 --seconds 0
 
 echo "ci.sh: all gates passed"

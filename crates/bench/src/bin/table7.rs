@@ -11,7 +11,8 @@
 //! Run: `cargo run --release -p lp-bench --bin table7 [--quick] [--threads N]`.
 
 use lp_bench::{gmean, print_table, BenchArgs};
-use lp_kernels::native::{run_native, NativeKernel};
+use lp_kernels::driver::KernelId;
+use lp_kernels::native::run_native;
 
 fn main() {
     let args = BenchArgs::parse();
@@ -22,14 +23,14 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut factors = Vec::new();
-    for kernel in NativeKernel::ALL {
+    for kernel in KernelId::ALL {
         let n = match (kernel, args.quick) {
-            (NativeKernel::Fft, false) => 1 << 20,
-            (NativeKernel::Fft, true) => 1 << 16,
-            (NativeKernel::Gauss, false) => 1024,
-            (NativeKernel::Cholesky, false) => 768,
-            (NativeKernel::Conv2d, false) => 2048,
-            (NativeKernel::Tmm, false) => 512,
+            (KernelId::Fft, false) => 1 << 20,
+            (KernelId::Fft, true) => 1 << 16,
+            (KernelId::Gauss, false) => 1024,
+            (KernelId::Cholesky, false) => 768,
+            (KernelId::Conv2d, false) => 2048,
+            (KernelId::Tmm, false) => 512,
             (_, true) => 192,
         };
         eprintln!(

@@ -7,10 +7,10 @@
 //! Lazy Persistency (LP) makes data in non-volatile main memory crash-
 //! recoverable **without** cache-line flushes, persist barriers, or
 //! logging. A program is split into associative *LP regions*; each region
-//! folds every value it stores into a software [checksum](checksum) and
-//! writes the checksum to a standalone persistent [table](table) — all with
+//! folds every value it stores into a software [checksum] and
+//! writes the checksum to a standalone persistent [table] — all with
 //! plain stores that reach NVMM through natural cache evictions. After a
-//! crash, [recovery](recovery) recomputes each region's checksum from the
+//! crash, [recovery] recomputes each region's checksum from the
 //! surviving data; mismatching regions are recomputed with Eager
 //! Persistency ([ep]) to guarantee forward progress.
 //!

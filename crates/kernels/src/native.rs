@@ -14,45 +14,9 @@
 //! the instrumentation.
 
 use crate::common::{random_spd, random_values};
+use crate::driver::KernelId;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-/// Which kernel to run natively.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NativeKernel {
-    /// Tiled matrix multiplication.
-    Tmm,
-    /// Left-looking Cholesky factorization.
-    Cholesky,
-    /// 3×3 2-D convolution.
-    Conv2d,
-    /// Gaussian elimination.
-    Gauss,
-    /// Radix-2 FFT.
-    Fft,
-}
-
-impl NativeKernel {
-    /// All kernels, Table VII order.
-    pub const ALL: [NativeKernel; 5] = [
-        NativeKernel::Tmm,
-        NativeKernel::Cholesky,
-        NativeKernel::Conv2d,
-        NativeKernel::Gauss,
-        NativeKernel::Fft,
-    ];
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            NativeKernel::Tmm => "TMM",
-            NativeKernel::Cholesky => "Cholesky",
-            NativeKernel::Conv2d => "2D-conv",
-            NativeKernel::Gauss => "Gauss",
-            NativeKernel::Fft => "FFT",
-        }
-    }
-}
 
 /// Result of one native comparison run.
 #[derive(Debug, Clone)]
@@ -98,7 +62,7 @@ impl LocalTable {
 ///
 /// Panics if `n` is unsuitable for the kernel (e.g. not a power of two
 /// for FFT) or `threads == 0`.
-pub fn run_native(kernel: NativeKernel, n: usize, threads: usize, reps: usize) -> NativeResult {
+pub fn run_native(kernel: KernelId, n: usize, threads: usize, reps: usize) -> NativeResult {
     assert!(threads > 0 && reps > 0);
     let mut base = Duration::MAX;
     let mut lp = Duration::MAX;
@@ -123,13 +87,13 @@ pub fn run_native(kernel: NativeKernel, n: usize, threads: usize, reps: usize) -
     }
 }
 
-fn run_variant(kernel: NativeKernel, n: usize, threads: usize, lp: bool) -> (Duration, f64) {
+fn run_variant(kernel: KernelId, n: usize, threads: usize, lp: bool) -> (Duration, f64) {
     match kernel {
-        NativeKernel::Tmm => tmm(n, threads, lp),
-        NativeKernel::Cholesky => cholesky(n, threads, lp),
-        NativeKernel::Conv2d => conv2d(n, threads, lp),
-        NativeKernel::Gauss => gauss(n, threads, lp),
-        NativeKernel::Fft => fft(n, threads, lp),
+        KernelId::Tmm => tmm(n, threads, lp),
+        KernelId::Cholesky => cholesky(n, threads, lp),
+        KernelId::Conv2d => conv2d(n, threads, lp),
+        KernelId::Gauss => gauss(n, threads, lp),
+        KernelId::Fft => fft(n, threads, lp),
     }
 }
 
@@ -429,9 +393,9 @@ mod tests {
 
     #[test]
     fn outputs_match_between_variants() {
-        for kernel in NativeKernel::ALL {
+        for kernel in KernelId::ALL {
             let n = match kernel {
-                NativeKernel::Fft => 256,
+                KernelId::Fft => 256,
                 _ => 64,
             };
             let r = run_native(kernel, n, 2, 1);
@@ -443,13 +407,13 @@ mod tests {
 
     #[test]
     fn single_thread_also_works() {
-        let r = run_native(NativeKernel::Tmm, 64, 1, 1);
+        let r = run_native(KernelId::Tmm, 64, 1, 1);
         assert!(r.outputs_match);
     }
 
     #[test]
     fn overhead_is_finite() {
-        let r = run_native(NativeKernel::Conv2d, 128, 2, 2);
+        let r = run_native(KernelId::Conv2d, 128, 2, 2);
         assert!(r.overhead().is_finite());
     }
 
@@ -499,7 +463,7 @@ mod tests {
 
     #[test]
     fn names_are_table_vii_labels() {
-        let names: Vec<_> = NativeKernel::ALL.iter().map(|k| k.name()).collect();
+        let names: Vec<_> = KernelId::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(names, vec!["TMM", "Cholesky", "2D-conv", "Gauss", "FFT"]);
     }
 }

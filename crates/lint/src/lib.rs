@@ -6,7 +6,7 @@
 //! crate decides the statically-decidable subset from *source*: it lexes
 //! the kernel and core persistency code (no external parser — the
 //! toolchain here is intentionally dependency-free), lowers each function
-//! to a control-flow graph ([`cfg`]), and solves a must/may dataflow
+//! to a control-flow graph ([`mod@cfg`]), and solves a must/may dataflow
 //! fixpoint over flush/fence/fold obligations — widening at loop heads,
 //! joining at branch merges, and flowing obligations through helper calls
 //! via per-function summaries.

@@ -1,5 +1,5 @@
 //! The one JSON string escaper the workspace's hand-written JSON
-//! emitters share (crash-campaign reports, lint reports, perf baselines).
+//! emitters share (crash-campaign reports and lint reports).
 
 /// Escape `s` for use inside a JSON string literal (the surrounding
 /// quotes are the caller's): `"` and `\` are backslash-escaped, newline

@@ -86,11 +86,6 @@ impl CmdQueue {
     fn in_flight_for(&self, t: u64, now: u64) -> bool {
         t > now && t <= now + self.latency + self.hold
     }
-
-    /// Latest completion among outstanding commands.
-    fn drained_at(&self) -> u64 {
-        self.slots.iter().copied().max().unwrap_or(0)
-    }
 }
 
 /// Result of scheduling a write.
@@ -110,14 +105,6 @@ pub struct MemCtrl {
     writes: CmdQueue,
     /// Line occupying each write slot (`u64::MAX` = none).
     write_lines: Vec<u64>,
-    /// Reads scheduled (media accesses).
-    pub read_cmds: u64,
-    /// Reads serviced by write-queue forwarding.
-    pub read_forwards: u64,
-    /// Writes scheduled (excluding merges).
-    pub write_cmds: u64,
-    /// Writes merged into pending entries.
-    pub write_merges: u64,
 }
 
 impl MemCtrl {
@@ -135,10 +122,6 @@ impl MemCtrl {
             reads: CmdQueue::new(read_entries, read_gap, read_latency),
             writes: CmdQueue::new(write_entries, write_gap, write_latency),
             write_lines: vec![u64::MAX; write_entries],
-            read_cmds: 0,
-            read_forwards: 0,
-            write_cmds: 0,
-            write_merges: 0,
         }
     }
 
@@ -155,11 +138,9 @@ impl MemCtrl {
     ) -> (u64, bool) {
         for (i, &l) in self.write_lines.iter().enumerate() {
             if l == line.0 && self.writes.in_flight_for(self.writes.slots[i], now) {
-                self.read_forwards += 1;
                 return (now + forward_latency, true);
             }
         }
-        self.read_cmds += 1;
         (self.reads.schedule(now, core).1, false)
     }
 
@@ -170,25 +151,18 @@ impl MemCtrl {
     pub fn schedule_write(&mut self, line: LineAddr, now: u64, core: usize) -> WriteOutcome {
         for (i, &l) in self.write_lines.iter().enumerate() {
             if l == line.0 && self.writes.in_flight_for(self.writes.slots[i], now) {
-                self.write_merges += 1;
                 return WriteOutcome {
                     completion: self.writes.slots[i],
                     merged: true,
                 };
             }
         }
-        self.write_cmds += 1;
         let (idx, completion) = self.writes.schedule(now, core);
         self.write_lines[idx] = line.0;
         WriteOutcome {
             completion,
             merged: false,
         }
-    }
-
-    /// Time at which all outstanding writes have completed.
-    pub fn writes_drained_at(&self) -> u64 {
-        self.writes.drained_at()
     }
 }
 
@@ -206,7 +180,6 @@ mod tests {
         let w = mc.schedule_write(LineAddr(1), 1000, 0);
         assert_eq!(w.completion, 1600);
         assert!(!w.merged);
-        assert_eq!(mc.write_cmds, 1);
     }
 
     #[test]
@@ -267,8 +240,6 @@ mod tests {
         assert_eq!(w2.completion, w1.completion);
         let w3 = mc.schedule_write(LineAddr(7), 100, 0);
         assert!(w3.merged);
-        assert_eq!(mc.write_cmds, 1);
-        assert_eq!(mc.write_merges, 2);
     }
 
     #[test]
@@ -278,7 +249,6 @@ mod tests {
         // Arrives long after the entry completed: fresh write.
         let w = mc.schedule_write(LineAddr(9), 10_000, 0);
         assert!(!w.merged);
-        assert_eq!(mc.write_cmds, 2);
     }
 
     #[test]
@@ -298,18 +268,8 @@ mod tests {
         let (r, fwd) = mc.schedule_read(LineAddr(9), 10, 30, 0);
         assert!(fwd, "line is in the write queue");
         assert_eq!(r, 40);
-        assert_eq!(mc.read_forwards, 1);
         // Long after the write completed, the read goes to the media.
         let (_, fwd2) = mc.schedule_read(LineAddr(9), 10_000, 30, 0);
         assert!(!fwd2);
-    }
-
-    #[test]
-    fn drain_time_tracks_latest_write() {
-        let mut mc = MemCtrl::new(4, 4, 0, 10, 100, 100);
-        assert_eq!(mc.writes_drained_at(), 0);
-        mc.schedule_write(LineAddr(1), 0, 0);
-        mc.schedule_write(LineAddr(2), 30, 0);
-        assert_eq!(mc.writes_drained_at(), 130);
     }
 }

@@ -309,16 +309,7 @@ impl Nvmm {
 
     /// All currently poisoned lines, in ascending address order.
     pub fn poisoned_lines(&self) -> Vec<LineAddr> {
-        let mut out = Vec::new();
-        self.poisoned_lines_into(&mut out);
-        out
-    }
-
-    /// [`Nvmm::poisoned_lines`] into a caller-owned buffer (cleared
-    /// first), so tight loops can reuse the allocation.
-    pub fn poisoned_lines_into(&self, out: &mut Vec<LineAddr>) {
-        out.clear();
-        out.extend(self.poisoned.iter().map(|&l| LineAddr(l)));
+        self.poisoned.iter().map(|&l| LineAddr(l)).collect()
     }
 
     /// Number of currently poisoned lines.

@@ -159,9 +159,6 @@ pub struct Access {
     pub l1_hit: bool,
     /// Cycles until the data is available / the store is performed.
     pub cost: u64,
-    /// The portion of `cost` spent waiting on NVMM (loads may overlap this
-    /// across MSHRs — see [`crate::config::MLP`]).
-    pub nvmm_cycles: u64,
 }
 
 /// Outcome of a flush-style operation (`clflushopt`/`clwb`).
@@ -172,8 +169,6 @@ pub struct FlushOutcome {
     /// Time at which the writeback (if any) is durable in NVMM and the
     /// line is globally observable; `sfence` waits for this.
     pub completion: u64,
-    /// Whether a dirty line was actually written to NVMM.
-    pub wrote: bool,
 }
 
 fn sharer_bits(mut mask: u64) -> impl Iterator<Item = usize> {
@@ -731,7 +726,6 @@ impl MemSystem {
             return Access {
                 l1_hit: true,
                 cost: 0,
-                nvmm_cycles: 0,
             };
         }
         let probe = self.l1s[core].find(line);
@@ -808,19 +802,11 @@ impl MemSystem {
                 }
                 (Mesi::Invalid, _) => unreachable!("find() returned an invalid way"),
             };
-            return (
-                Access {
-                    l1_hit: true,
-                    cost,
-                    nvmm_cycles: 0,
-                },
-                idx,
-            );
+            return (Access { l1_hit: true, cost }, idx);
         }
 
         // L1 miss: consult the L2.
         let mut cost = L1_LATENCY + L2_LATENCY;
-        let mut nvmm_cycles = 0u64;
         let (data, state, dirty_since) = if let Some(l2idx) = self.l2.find(line) {
             self.stats.l2_hits += 1;
             self.l2.touch(l2idx);
@@ -888,7 +874,6 @@ impl MemSystem {
             if !forwarded {
                 self.stats.nvmm_reads += 1;
             }
-            nvmm_cycles = completion.saturating_sub(now + cost);
             cost = completion.saturating_sub(now) + L1_LATENCY;
             let way = self.l2.victim_way(line);
             if self.l2.way(way).valid {
@@ -913,7 +898,6 @@ impl MemSystem {
             Access {
                 l1_hit: false,
                 cost,
-                nvmm_cycles,
             },
             way,
         )
@@ -1002,7 +986,6 @@ impl MemSystem {
             return FlushOutcome {
                 issue_cost: 0,
                 completion: now,
-                wrote: false,
             };
         }
         let mut dirty = false;
@@ -1087,13 +1070,11 @@ impl MemSystem {
             FlushOutcome {
                 issue_cost,
                 completion: w.completion,
-                wrote: true,
             }
         } else {
             FlushOutcome {
                 issue_cost,
                 completion: now,
-                wrote: false,
             }
         }
     }
@@ -1485,7 +1466,6 @@ mod tests {
         let addr = Addr(64 * 4);
         write_u64(&mut ms, 0, addr, 77, 0);
         let out = ms.flush_line(addr.line(), 100, false, 0);
-        assert!(out.wrote);
         assert!(out.completion >= 100 + ms.cfg.nvmm_write_cycles());
         assert_eq!(ms.stats.nvmm_writes_flush, 1);
         // Line gone from caches; durable image has the value.
@@ -1501,22 +1481,21 @@ mod tests {
         let mut ms = MemSystem::new(small_cfg());
         let addr = Addr(64 * 6);
         write_u64(&mut ms, 0, addr, 55, 0);
-        let out = ms.flush_line(addr.line(), 50, true, 0);
-        assert!(out.wrote);
+        ms.flush_line(addr.line(), 50, true, 0);
         assert_eq!(ms.stats.nvmm_writes_clwb, 1);
         // Still cached, now clean (Exclusive).
         let i1 = ms.l1(0).find(addr.line()).unwrap();
         assert_eq!(ms.l1(0).way(i1).state, Mesi::Exclusive);
         // Flushing again writes nothing.
-        let out2 = ms.flush_line(addr.line(), 60, false, 0);
-        assert!(!out2.wrote);
+        let out = ms.flush_line(addr.line(), 60, false, 0);
+        assert_eq!(out.completion, 60);
+        assert_eq!(ms.stats.nvmm_writes(), 1);
     }
 
     #[test]
     fn flush_clean_or_absent_is_cheap() {
         let mut ms = MemSystem::new(small_cfg());
         let out = ms.flush_line(LineAddr(1234), 10, false, 0);
-        assert!(!out.wrote);
         assert_eq!(out.completion, 10);
         assert_eq!(ms.stats.nvmm_writes(), 0);
     }
@@ -1610,8 +1589,11 @@ mod tests {
         let addr = Addr(64 * 5);
         write_u64(&mut ms, 0, addr, 7, 0);
         read_u64(&mut ms, 1, addr, 5); // both cores share the line
-        let out = ms.flush_line(addr.line(), 10, false, 1);
-        assert!(out.wrote, "recalled dirty data written back");
+        ms.flush_line(addr.line(), 10, false, 1);
+        assert_eq!(
+            ms.stats.nvmm_writes_flush, 1,
+            "recalled dirty data written back"
+        );
         assert!(ms.l1(0).find(addr.line()).is_none());
         assert!(ms.l1(1).find(addr.line()).is_none());
         assert!(ms.l2().find(addr.line()).is_none());
@@ -1628,7 +1610,8 @@ mod tests {
         read_u64(&mut ms, 0, addr, 0);
         read_u64(&mut ms, 1, addr, 0);
         let out = ms.flush_line(addr.line(), 5, true, 0);
-        assert!(!out.wrote);
+        assert_eq!(out.completion, 5);
+        assert_eq!(ms.stats.nvmm_writes(), 0);
         assert!(ms.l1(0).find(addr.line()).is_some(), "clwb retains lines");
         assert!(ms.l1(1).find(addr.line()).is_some());
         assert!(ms.check_invariants().is_ok());

@@ -21,7 +21,7 @@
 //!
 //! Work is distributed dynamically: workers claim the next unclaimed
 //! *batch* of indices from a shared atomic counter (a strided
-//! `fetch_add`, so claiming cost amortizes over [`claim_stride`] items
+//! `fetch_add`, so claiming cost amortizes over `claim_stride` items
 //! while a few slow items still cannot idle the remaining workers the way
 //! static chunking would). Results never contend: [`par_map`] writes each
 //! into its own write-once [`OnceLock`] slot, and [`par_map_collect`]
