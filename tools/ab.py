@@ -153,17 +153,18 @@ def report(bench, runs, base, change_label, pairs, seconds):
                     for s in SIDES}
             p, c = vals["parent"], vals["change"]
             cells = []
-            for v in (p, c):
-                q1, med, q3 = quartiles(v)
-                cells += [f"{fmt(med)} ({fmt(q1)}–{fmt(q3)})", f"{spread(v):.3f}"]
+            for side in (p, c):
+                q1, med, q3 = quartiles(side)
+                cells += [f"{fmt(med)} ({fmt(q1)}–{fmt(q3)})", f"{spread(side):.3f}"]
             won, tied = wins(p, c, m["better"])
-            v = verdict(p, c, m["better"], m["bound"])
-            if v == "regression":
+            judged = verdict(p, c, m["better"], m["bound"])
+            if judged == "regression":
                 regressions.append(f"{w} {m['name']}")
+            ratio = statistics.median(c) / statistics.median(p)
             paired = statistics.median(b / a for a, b in zip(p, c))
             out.append(f"| {w} | {m['name']} ({m['unit']}) | {' | '.join(cells)} "
-                       f"| {quartiles(c)[1] / quartiles(p)[1]:.3f} | {paired:.3f} "
-                       f"| {won}/{len(p)} ({tied} tied) | {m['bound']} | {v} |")
+                       f"| {ratio:.3f} | {paired:.3f} "
+                       f"| {won}/{len(p)} ({tied} tied) | {m['bound']} | {judged} |")
     out += ["", "| workload | parent failed / attempted | change failed / attempted |",
             "|---|---|---|"]
     for w in workloads:
@@ -179,8 +180,8 @@ def report(bench, runs, base, change_label, pairs, seconds):
             "|---|---|---|" + "---|" * len(names) + "---|"]
     for r in runs:
         res = r["result"]
-        vals = " | ".join(fmt(res["metrics"][n]["value"]) for n in names)
-        out.append(f"| {r['workload']} | {r['seed']} | {r['side']} | {vals} "
+        row = " | ".join(fmt(res["metrics"][n]["value"]) for n in names)
+        out.append(f"| {r['workload']} | {r['seed']} | {r['side']} | {row} "
                    f"| {res['failed']} / {res['attempted']} |")
     out.append("")
     out.append("Regressions: " + (", ".join(regressions) if regressions else "none") + ".")
@@ -211,6 +212,7 @@ def main():
     dirty = git("status", "--porcelain")
     change_label = f"`{head[:12]}`" + (" with uncommitted edits" if dirty else "")
     tree = os.path.join(ROOT, "target", "ab", base[:12])
+    # Turn SIGTERM into SystemExit so the `finally` below still removes the worktree.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     remove_worktree(tree)
     try:
