@@ -95,9 +95,6 @@ grep -q "parity_before_data.*S7" /tmp/lp_lint_diff.txt \
   || { echo "S7 rig (parity_before_data) missing from the differential"; exit 1; }
 rm -f /tmp/lp_lint_diff.txt
 
-echo "== lp-lint: cost model vs measured flush/fence counters, all kernels x schemes =="
-cargo run --release -q -p lp-lint -- --cost-check
-
 echo "== perfbench tests: manifest contract, traced-run nesting, seed determinism =="
 # perfbench builds against lp-sim, lp-core, lp-kernels and lp-crashmc by
 # path, so an API change in those crates must keep its own tests passing.

@@ -85,7 +85,7 @@ impl BenchArgs {
 /// a serial walk of the matrix — only the wall-clock changes. Binaries
 /// collect the cells first, fan out here, then render their tables from
 /// the ordered results. Workers accumulate locally and merge once
-/// ([`lp_sim::par::par_map_collect`]), so big result structs never
+/// ([`lp_sim::par::par_map`]), so big result structs never
 /// contend mid-run.
 pub fn run_cells<T, R, F>(jobs: usize, cells: &[T], run: F) -> Vec<R>
 where
@@ -93,7 +93,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    lp_sim::par::par_map_collect(jobs, cells, |_, cell| run(cell))
+    lp_sim::par::par_map(jobs, cells, |_, cell| run(cell))
 }
 
 /// Format `x / base` as a normalized factor, e.g. `1.002x`.

@@ -87,29 +87,6 @@ impl Rule {
             Rule::R8 => "parity line published ahead of the region data it summarizes",
         }
     }
-
-    /// The primary `lp-lint` static rule that decides the same ordering
-    /// property from source, when one exists (`"S1"`…`"S6"`). `None` for
-    /// the rules that depend on runtime information — R5 needs concrete
-    /// addresses and the cross-thread schedule, R6 needs eviction timing.
-    pub fn static_twin(self) -> Option<&'static str> {
-        self.static_twins().first().copied()
-    }
-
-    /// All `lp-lint` static rules deciding this rule's property from
-    /// source. R2 has two: S2 orders the table publish after its folds,
-    /// S6 demands every persisted line be folded at all.
-    pub fn static_twins(self) -> &'static [&'static str] {
-        match self {
-            Rule::R1 => &["S5"],
-            Rule::R2 => &["S2", "S6"],
-            Rule::R3 => &["S1"],
-            Rule::R4 => &["S3"],
-            Rule::R5 | Rule::R6 => &[],
-            Rule::R7 => &["S4"],
-            Rule::R8 => &["S7"],
-        }
-    }
 }
 
 impl std::fmt::Display for Rule {
@@ -296,25 +273,5 @@ mod tests {
             assert_eq!(Rule::from_id(r.id()), Some(r));
         }
         assert_eq!(Rule::from_id("R9"), None);
-    }
-
-    #[test]
-    fn static_twins_are_valid_s_rules() {
-        // Exactly the runtime-dependent rules lack a static twin, and
-        // every twin is a well-formed S-rule id.
-        for r in Rule::ALL {
-            match r.static_twin() {
-                Some(s) => {
-                    assert!(s.starts_with('S'), "{s}");
-                    let n: u32 = s[1..].parse().unwrap();
-                    assert!((1..=7).contains(&n), "{s}");
-                }
-                None => assert!(matches!(r, Rule::R5 | Rule::R6)),
-            }
-            for s in r.static_twins() {
-                assert!(s.starts_with('S'), "{s}");
-            }
-        }
-        assert_eq!(Rule::R2.static_twins(), ["S2", "S6"]);
     }
 }

@@ -7,14 +7,21 @@
 //! result store through [`ThreadPersist::store`]. What that costs depends
 //! on the scheme:
 //!
-//! | scheme | per store | at commit |
-//! |--------|-----------|-----------|
-//! | `Base` | plain store | nothing |
-//! | `Lazy(kind)` | store + checksum update | one lazy store of the checksum |
-//! | `LazyParity(kind)` | store + checksum update + parity-lane XOR | checksum store, then the parity line |
-//! | `LazyEagerCk(kind)` | store + checksum update | checksum store + flush + fence |
-//! | `Eager` | store + immediate `clflushopt` | fence, then durable marker |
-//! | `Wal` | undo-log append (flushed) + staged store | Figure 2's flush+fence rounds |
+//! | scheme | per store | at commit | flushes, fences per store | per commit |
+//! |--------|-----------|-----------|------|------|
+//! | `Base` | plain store | nothing | 0, 0 | 0, 0 |
+//! | `Lazy(kind)` | store + checksum update | one lazy store of the checksum | 0, 0 | 0, 0 |
+//! | `LazyParity(kind)` | store + checksum update + parity-lane XOR | checksum store, then the parity line | 0, 0 | 0, 0 |
+//! | `LazyEagerCk(kind)` | store + checksum update | checksum store + flush + fence | 0, 0 | 1, 1 |
+//! | `Eager` | store + immediate `clflushopt` | fence, then durable marker | 1, 0 | 1, 2 |
+//! | `Wal` | undo-log append (flushed) + staged store | Figure 2's flush+fence rounds | 3, 0 | 6, 4 |
+//!
+//! The flush and fence counts are exact: a kernel whose regions make `S`
+//! data stores and `C` commits issues `S × per store + C × per commit` of
+//! each, as the `flushes=`/`fences=` columns of the kernels'
+//! `micro_invariance` golden pin for every kernel (TMM at `Scale::Micro`
+//! under `Wal`: 256 stores and 2 commits make 3·256 + 6·2 = 780 flushes
+//! and 4·2 = 8 fences).
 
 use crate::checksum::{ChecksumKind, RunningChecksum};
 use crate::parity::{lane_of, ParityArena, PARITY_FOLD_OPS};

@@ -46,7 +46,7 @@
 //! The engine decomposes a run into independent *work units* — one per
 //! `(case, crash point, subset range)`, ranges sized to the thread count
 //! — and fans them across host threads with
-//! [`lp_sim::par::par_map_collect`], which accumulates results
+//! [`lp_sim::par::par_map`], which accumulates results
 //! worker-locally and merges once at the end. Every stochastic choice is
 //! drawn from an [`Rng64::new_stream`] keyed by the individual *state*
 //! `(case, point, subset index)`, never by the unit, so re-chunking the
@@ -65,7 +65,7 @@ use lp_sim::machine::{Machine, Outcome, ThreadPlan};
 use lp_sim::mem::Nvmm;
 use lp_sim::memsys::CrashCensus;
 use lp_sim::memsys::CrashTrigger;
-use lp_sim::par::{par_map, par_map_collect};
+use lp_sim::par::par_map;
 use lp_sim::rng::Rng64;
 
 /// Salt mixed into the seed for the fault-injection RNG streams, so fault
@@ -986,7 +986,7 @@ pub fn check_cases(
             }
         }
     }
-    let results = par_map_collect(threads, &units, |_, u| {
+    let results = par_map(threads, &units, |_, u| {
         run_unit(&runtimes[u.case], budget, seed, u)
     });
 

@@ -1,7 +1,7 @@
 //! W1 fixture: the same line is flushed twice with no intervening store
 //! on any path — the second `clflushopt` queues a second writeback of
 //! identical bytes. Dynamic twin: the `flushes` counter drops from 2 to
-//! 1 when the duplicate is deleted (see `lp-lint --cost-check`).
+//! 1 when the duplicate is deleted (see `tests/wrule_twins.rs`).
 
 fn persist_result(ctx: &mut CoreCtx<'_>) {
     ctx.store(self.buf, 0, v);

@@ -36,7 +36,7 @@ use crate::report::{LintFinding, LintReport, SRule};
 
 /// Classified persistency-API call.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Kind {
+enum Kind {
     /// Raw persistent data store: creates flush/fence/fold obligations.
     DataStore(String),
     /// Scheme-managed store (`tp.store`, `sink.store`): durability is the
@@ -78,7 +78,7 @@ pub(crate) enum Kind {
 }
 
 /// Classify a call site using the name-allowlist config.
-pub(crate) fn classify(call: &RawCall, cfg: &LintConfig, is_wal_file: bool) -> Kind {
+fn classify(call: &RawCall, cfg: &LintConfig, is_wal_file: bool) -> Kind {
     let recv = call.receiver.as_str();
     let recv_is_ctx = recv.is_empty() || recv.rsplit('.').next() == Some("ctx");
     // Target of a store/flush: explicit argument for ctx methods, the
@@ -312,10 +312,10 @@ fn gather_facts(nodes: &[Node], cfg: &LintConfig, is_wal_file: bool, facts: &mut
             },
             Node::Branch(arms) => {
                 for a in arms {
-                    gather_facts(&a.body, cfg, is_wal_file, facts);
+                    gather_facts(a, cfg, is_wal_file, facts);
                 }
             }
-            Node::Loop { body, .. } => gather_facts(body, cfg, is_wal_file, facts),
+            Node::Loop(body) => gather_facts(body, cfg, is_wal_file, facts),
             Node::Diverge => {}
         }
     }
@@ -358,10 +358,10 @@ fn summary_flags(nodes: &[Node], cfg: &LintConfig, is_wal: bool, s: &mut FnSumma
             },
             Node::Branch(arms) => {
                 for a in arms {
-                    summary_flags(&a.body, cfg, is_wal, s);
+                    summary_flags(a, cfg, is_wal, s);
                 }
             }
-            Node::Loop { body, .. } => summary_flags(body, cfg, is_wal, s),
+            Node::Loop(body) => summary_flags(body, cfg, is_wal, s),
             Node::Diverge => {}
         }
     }
@@ -961,14 +961,14 @@ impl<'a> Eval<'a> {
     fn w4_pass(&mut self, nodes: &[Node]) {
         for n in nodes {
             match n {
-                Node::Loop { body, .. } => {
+                Node::Loop(body) => {
                     self.w4_elementwise(body);
                     self.w4_barrier(body);
                     self.w4_pass(body);
                 }
                 Node::Branch(arms) => {
                     for a in arms {
-                        self.w4_pass(&a.body);
+                        self.w4_pass(a);
                     }
                 }
                 _ => {}
@@ -1014,7 +1014,7 @@ impl<'a> Eval<'a> {
                     _ => {}
                 },
                 // Control flow inside the iteration resets the window.
-                Node::Branch(_) | Node::Loop { .. } | Node::Diverge => close(&mut seg, &mut hits),
+                Node::Branch(_) | Node::Loop(_) | Node::Diverge => close(&mut seg, &mut hits),
             }
         }
         close(&mut seg, &mut hits);
@@ -1097,11 +1097,11 @@ impl<'a> Eval<'a> {
                 },
                 Node::Branch(arms) => {
                     for a in arms {
-                        self.w4_scan(&a.body, stores, publishes, barrier);
+                        self.w4_scan(a, stores, publishes, barrier);
                     }
                 }
                 // Nested loops get their own w4_barrier check.
-                Node::Loop { .. } | Node::Diverge => {}
+                Node::Loop(_) | Node::Diverge => {}
             }
         }
     }

@@ -19,8 +19,6 @@ pub struct LoopHead {
     /// away must-facts born inside the loop (their expressions are
     /// iteration-dependent).
     pub span: (u32, u32),
-    /// Iterable path from a `for x in path` header, empty otherwise.
-    pub hint: String,
 }
 
 /// One basic block: straight-line calls plus graph edges.
@@ -109,7 +107,7 @@ impl Builder {
                     for arm in arms {
                         let a = self.new_block();
                         self.edge(cur, a);
-                        if let Some(out) = self.seq(&arm.body, a, dexit) {
+                        if let Some(out) = self.seq(arm, a, dexit) {
                             self.edge(out, join);
                             any = true;
                         }
@@ -119,7 +117,7 @@ impl Builder {
                     }
                     cur = join;
                 }
-                Node::Loop { hint, body } => {
+                Node::Loop(body) => {
                     let head = self.new_block();
                     self.edge(cur, head);
                     let bentry = self.new_block();
@@ -132,7 +130,6 @@ impl Builder {
                     self.blocks[head].loop_head = Some(LoopHead {
                         back_preds,
                         span: span_of(body),
-                        hint: hint.clone(),
                     });
                     let after = self.new_block();
                     self.edge(head, after);
@@ -155,8 +152,8 @@ fn span_of(nodes: &[Node]) -> (u32, u32) {
                 lo = lo.min(c.line);
                 hi = hi.max(c.line);
             }
-            Node::Branch(arms) => stack.extend(arms.iter().flat_map(|a| a.body.iter())),
-            Node::Loop { body, .. } => stack.extend(body.iter()),
+            Node::Branch(arms) => stack.extend(arms.iter().flatten()),
+            Node::Loop(body) => stack.extend(body.iter()),
             Node::Diverge => {}
         }
     }

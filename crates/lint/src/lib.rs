@@ -11,10 +11,11 @@
 //! joining at branch merges, and flowing obligations through helper calls
 //! via per-function summaries.
 //!
-//! Safety rules S1–S7 are static twins of dynamic checker rules (see
-//! [`lp_check::report::Rule::static_twin`]); efficiency rules W1–W4 are
-//! validated against the simulator's `flushes`/`fences` counters (see
-//! [`costcheck`] and `lp-lint --cost-check`):
+//! Safety rules S1–S7 are static twins of dynamic checker rules
+//! ([`SRule::dynamic_twin`] names the lp-check rule each one decides);
+//! efficiency rules W1–W4 twin the simulator's `flushes`/`fences`
+//! counters, and `tests/wrule_twins.rs` pins the counter drop each W fix
+//! buys on a real machine:
 //!
 //! | rule | property | dynamic twin |
 //! |------|----------|--------------|
@@ -34,10 +35,7 @@
 //! [`report::LintReport`] (pretty text or JSON), mirroring lp-check's
 //! `ViolationReport`. The [`differential`] module cross-validates the
 //! rules against the mutation-rig registry (`lp_crashmc::rigs`, linted
-//! in place) and the W-rule fixtures;
-//! the [`cost`] module extracts a static per-scheme flush/fence cost
-//! model from the core sources, and [`costcheck`] holds the dynamic
-//! counters to it.
+//! in place) and the W-rule fixtures.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -45,8 +43,6 @@
 pub mod analysis;
 pub mod cfg;
 pub mod config;
-pub mod cost;
-pub mod costcheck;
 pub mod differential;
 pub mod lexer;
 pub mod parser;

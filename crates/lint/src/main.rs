@@ -4,7 +4,6 @@
 //! lp-lint --all                 # lint the default surface (kernels + core)
 //! lp-lint --all --json          # same, machine-readable
 //! lp-lint --differential        # cross-validate against the mutation rigs
-//! lp-lint --cost-check          # hold the static cost model to dynamic counters
 //! lp-lint path/to/file.rs ...   # lint specific files
 //! ```
 //!
@@ -17,7 +16,6 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use lp_lint::costcheck::run_cost_check;
 use lp_lint::differential::run_differential;
 use lp_lint::{default_targets, lint_paths, LintConfig};
 
@@ -25,13 +23,12 @@ struct Options {
     all: bool,
     json: bool,
     differential: bool,
-    cost_check: bool,
     root: PathBuf,
     files: Vec<PathBuf>,
 }
 
 fn usage() -> &'static str {
-    "usage: lp-lint [--all] [--json] [--differential] [--cost-check] [--root DIR] [FILES...]"
+    "usage: lp-lint [--all] [--json] [--differential] [--root DIR] [FILES...]"
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -39,7 +36,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         all: false,
         json: false,
         differential: false,
-        cost_check: false,
         root: PathBuf::from("."),
         files: Vec::new(),
     };
@@ -49,7 +45,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--all" => opts.all = true,
             "--json" => opts.json = true,
             "--differential" => opts.differential = true,
-            "--cost-check" => opts.cost_check = true,
             "--root" => {
                 let dir = it.next().ok_or("--root requires a directory")?;
                 opts.root = PathBuf::from(dir);
@@ -59,7 +54,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             f => opts.files.push(PathBuf::from(f)),
         }
     }
-    if !opts.differential && !opts.cost_check && !opts.all && opts.files.is_empty() {
+    if !opts.differential && !opts.all && opts.files.is_empty() {
         return Err(format!("nothing to lint\n{}", usage()));
     }
     Ok(opts)
@@ -83,23 +78,6 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         } else {
             ExitCode::FAILURE
-        };
-    }
-
-    if opts.cost_check {
-        return match run_cost_check(&opts.root, &cfg) {
-            Ok(report) => {
-                print!("{report}");
-                if report.pass() {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(e) => {
-                eprintln!("lp-lint: cost-check: {e}");
-                ExitCode::from(2)
-            }
         };
     }
 

@@ -34,35 +34,16 @@ pub struct RawCall {
     pub line: u32,
 }
 
-/// One arm of a multi-way branch.
-#[derive(Debug, Clone)]
-pub struct Arm {
-    /// For `match` arms: identifiers appearing in the pattern before any
-    /// guard (`Scheme Eager`, `Some x`). Empty for `if`/`else` arms and
-    /// implicit fallthroughs. Lets the cost model select the arm a given
-    /// scheme executes.
-    pub pat: Vec<String>,
-    /// The arm body.
-    pub body: Vec<Node>,
-}
-
 /// One node of a function body's control-flow tree.
 #[derive(Debug, Clone)]
 pub enum Node {
     /// A call site.
     Call(RawCall),
-    /// A multi-way branch (`if`/`else if`/`else`, `match`). An `if`
-    /// without `else` carries an empty fallthrough arm.
-    Branch(Vec<Arm>),
+    /// A multi-way branch (`if`/`else if`/`else`, `match`), one body per
+    /// arm. An `if` without `else` carries an empty fallthrough arm.
+    Branch(Vec<Vec<Node>>),
     /// A loop body, executed zero or more times.
-    Loop {
-        /// For `for` loops: dotted path of the iterable (`self.pending`),
-        /// empty for ranges, `while`, and `loop`. Lets the cost model
-        /// attribute per-element loop bodies to the collection iterated.
-        hint: String,
-        /// The loop body.
-        body: Vec<Node>,
-    },
+    Loop(Vec<Node>),
     /// Control leaves the enclosing path (`return`, `break`, `continue`,
     /// `panic!`-family macro).
     Diverge,
@@ -291,16 +272,10 @@ impl P<'_> {
                     return;
                 }
                 "for" | "while" if *paren == 0 => {
-                    let is_for = tok.text == "for";
                     self.bump();
-                    let hint = if is_for {
-                        self.loop_hint()
-                    } else {
-                        String::new()
-                    };
                     self.scan_header(nodes);
                     let body = self.parse_block();
-                    nodes.push(Node::Loop { hint, body });
+                    nodes.push(Node::Loop(body));
                     return;
                 }
                 "loop" if *paren == 0 => {
@@ -309,10 +284,7 @@ impl P<'_> {
                         self.bump();
                     }
                     let body = self.parse_block();
-                    nodes.push(Node::Loop {
-                        hint: String::new(),
-                        body,
-                    });
+                    nodes.push(Node::Loop(body));
                     return;
                 }
                 "let" if *paren == 0 => {
@@ -373,28 +345,6 @@ impl P<'_> {
             }
             _ => self.bump(),
         }
-    }
-
-    /// Peek ahead in a `for` header for `in <path>` at depth 0 and return
-    /// the iterable's dotted path (`self.pending`), or empty for ranges
-    /// and complex iterator expressions. Does not consume.
-    fn loop_hint(&self) -> String {
-        let mut a = self.i;
-        let mut depth = 0i32;
-        while let Some(t) = self.t.get(a) {
-            if depth == 0 && t.is_punct('{') {
-                return String::new();
-            }
-            if t.is_punct('(') || t.is_punct('[') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') {
-                depth = (depth - 1).max(0);
-            } else if depth == 0 && t.is_ident && t.text == "in" {
-                return self.arg_path(a + 1).0;
-            }
-            a += 1;
-        }
-        String::new()
     }
 
     /// At a `let` keyword, peek for `let [mut] var = TypeName …` and record
@@ -478,27 +428,23 @@ impl P<'_> {
     /// `if c1 { } else if c2 { } else { }` → one Branch with all arms;
     /// condition calls are emitted before the Branch node.
     fn parse_if(&mut self, nodes: &mut Vec<Node>) {
-        let mut arms: Vec<Arm> = Vec::new();
-        let arm = |body| Arm {
-            pat: Vec::new(),
-            body,
-        };
+        let mut arms: Vec<Vec<Node>> = Vec::new();
         loop {
             self.bump(); // 'if'
             self.scan_header(nodes);
-            arms.push(arm(self.parse_block()));
+            arms.push(self.parse_block());
             if self.at_ident("else") {
                 self.bump();
                 if self.at_ident("if") {
                     continue;
                 }
                 if self.at_punct('{') {
-                    arms.push(arm(self.parse_block()));
+                    arms.push(self.parse_block());
                 } else {
-                    arms.push(arm(Vec::new()));
+                    arms.push(Vec::new());
                 }
             } else {
-                arms.push(arm(Vec::new())); // implicit fallthrough
+                arms.push(Vec::new()); // implicit fallthrough
             }
             nodes.push(Node::Branch(arms));
             return;
@@ -514,16 +460,15 @@ impl P<'_> {
             return;
         }
         self.bump(); // '{'
-        let mut arms: Vec<Arm> = Vec::new();
+        let mut arms: Vec<Vec<Node>> = Vec::new();
         while !self.at_end() {
             if self.at_punct('}') {
                 self.bump();
                 break;
             }
-            // Pattern (and optional guard) up to `=>` at depth 0. Idents
-            // before a depth-0 `if` are the pattern; after it, the guard
-            // (whose calls run pre-selection and are emitted here).
-            let mut pat: Vec<String> = Vec::new();
+            // Skip the pattern and optional guard up to `=>` at depth 0.
+            // Calls after a depth-0 `if` belong to the guard: they run
+            // pre-selection and are emitted here.
             let mut in_guard = false;
             let mut depth = 0i32;
             while !self.at_end() {
@@ -544,7 +489,6 @@ impl P<'_> {
                             self.bump();
                         }
                     } else {
-                        pat.push(tok.text.clone());
                         self.bump();
                     }
                 } else {
@@ -561,12 +505,9 @@ impl P<'_> {
                 if self.at_punct(',') {
                     self.bump();
                 }
-                arms.push(Arm { pat, body });
+                arms.push(body);
             } else {
-                arms.push(Arm {
-                    pat,
-                    body: self.parse_flat(),
-                });
+                arms.push(self.parse_flat());
             }
         }
         nodes.push(Node::Branch(arms));
@@ -848,10 +789,10 @@ mod tests {
                 Node::Call(c) => out.push(c.name.clone()),
                 Node::Branch(arms) => {
                     for a in arms {
-                        out.extend(call_names(&a.body));
+                        out.extend(call_names(a));
                     }
                 }
-                Node::Loop { body, .. } => out.extend(call_names(body)),
+                Node::Loop(body) => out.extend(call_names(body)),
                 Node::Diverge => {}
             }
         }
@@ -881,9 +822,9 @@ mod tests {
             panic!("want branch, got {:?}", f.fns[0].body)
         };
         assert_eq!(arms.len(), 3);
-        assert_eq!(call_names(&arms[0].body), ["a"]);
-        assert_eq!(call_names(&arms[1].body), ["b"]);
-        assert_eq!(call_names(&arms[2].body), ["e"]);
+        assert_eq!(call_names(&arms[0]), ["a"]);
+        assert_eq!(call_names(&arms[1]), ["b"]);
+        assert_eq!(call_names(&arms[2]), ["e"]);
     }
 
     #[test]
@@ -893,7 +834,7 @@ mod tests {
             panic!("want branch")
         };
         assert_eq!(arms.len(), 2);
-        assert!(arms[1].body.is_empty());
+        assert!(arms[1].is_empty());
     }
 
     #[test]
@@ -904,12 +845,9 @@ mod tests {
             panic!("want branch, got {:?}", f.fns[0].body)
         };
         assert_eq!(arms.len(), 3);
-        assert_eq!(call_names(&arms[0].body), ["a"]);
-        assert_eq!(call_names(&arms[1].body), ["b"]);
-        assert_eq!(arms[0].pat, ["A"]);
-        assert_eq!(arms[1].pat, ["B"]);
-        assert_eq!(arms[2].pat, ["_"]);
-        assert!(matches!(arms[2].body[0], Node::Diverge));
+        assert_eq!(call_names(&arms[0]), ["a"]);
+        assert_eq!(call_names(&arms[1]), ["b"]);
+        assert!(matches!(arms[2][0], Node::Diverge));
         let Node::Call(t) = &f.fns[0].body[1] else {
             panic!("want tail call")
         };
@@ -919,7 +857,7 @@ mod tests {
     #[test]
     fn loops_and_diverge() {
         let f = parse("fn f() { for i in 0..n { g(i); if z { continue; } } return; }");
-        let Node::Loop { body, .. } = &f.fns[0].body[0] else {
+        let Node::Loop(body) = &f.fns[0].body[0] else {
             panic!("want loop")
         };
         assert_eq!(call_names(body), ["g"]);

@@ -75,8 +75,6 @@ pub mod prelude {
     pub use crate::machine::{Machine, Outcome, ThreadPlan, WorkItem};
     pub use crate::mem::{PArray, Scalar};
     pub use crate::memsys::CrashTrigger;
-    pub use crate::observe::{
-        EventSink, MemEvent, RegionCounts, RegionId, RegionTally, SharedSink,
-    };
+    pub use crate::observe::{EventSink, MemEvent, RegionId, SharedSink};
     pub use crate::stats::{SimStats, WriteCause};
 }

@@ -1,6 +1,6 @@
 //! Observer hook over the simulator's memory-event stream.
 //!
-//! External tools (the `lp-check` persistency sanitizer in particular) can
+//! External tools (today the `lp-check` persistency sanitizer) can
 //! install an [`EventSink`] on a machine and receive every store, load,
 //! flush, fence, durable writeback, barrier, region boundary, and crash as
 //! it happens — with the issuing core, its cycle clock, and the dynamic
@@ -200,86 +200,6 @@ impl ObserverSlot {
     }
 }
 
-/// Store/flush/fence counters for one bucket of the event stream.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RegionCounts {
-    /// Timed scalar stores.
-    pub stores: u64,
-    /// `clflushopt`/`clwb` issues.
-    pub flushes: u64,
-    /// Retired `sfence`s.
-    pub fences: u64,
-}
-
-impl RegionCounts {
-    fn add(&mut self, other: RegionCounts) {
-        self.stores += other.stores;
-        self.flushes += other.flushes;
-        self.fences += other.fences;
-    }
-}
-
-/// An [`EventSink`] that tallies stores, flushes, and fences per dynamic
-/// region, with a separate bucket for activity outside any region.
-///
-/// This is the measurement side of `lp-lint --cost-check`: a `Base`-scheme
-/// run yields the structural counts (in-region stores `S`, region commits
-/// `C`) that the static cost model multiplies into per-scheme flush/fence
-/// predictions, and an instrumented scheme run yields the in-region
-/// counters those predictions are held against.
-#[derive(Debug, Clone, Default)]
-pub struct RegionTally {
-    /// Per-region counters, keyed by [`RegionId`] value.
-    pub regions: std::collections::BTreeMap<u64, RegionCounts>,
-    /// Counters for events issued with no region open.
-    pub outside: RegionCounts,
-    /// `RegionBegin` events seen.
-    pub begins: u64,
-    /// `RegionCommit` events seen.
-    pub commits: u64,
-}
-
-impl RegionTally {
-    /// New shareable tally; clone the `Arc` into
-    /// [`crate::machine::Machine::set_observer`] (the `Arc<Mutex<RegionTally>>`
-    /// coerces to [`SharedSink`]) and keep one handle to read back.
-    pub fn shared() -> Arc<Mutex<RegionTally>> {
-        Arc::new(Mutex::new(RegionTally::default()))
-    }
-
-    /// Sum of all in-region buckets.
-    pub fn in_region(&self) -> RegionCounts {
-        let mut total = RegionCounts::default();
-        for c in self.regions.values() {
-            total.add(*c);
-        }
-        total
-    }
-
-    fn bucket(&mut self, region: Option<RegionId>) -> &mut RegionCounts {
-        match region {
-            Some(r) => self.regions.entry(r.0).or_default(),
-            None => &mut self.outside,
-        }
-    }
-}
-
-impl EventSink for RegionTally {
-    fn on_event(&mut self, ev: &MemEvent) {
-        match *ev {
-            MemEvent::Store { region, .. } => self.bucket(region).stores += 1,
-            MemEvent::Flush { region, .. } => self.bucket(region).flushes += 1,
-            MemEvent::Sfence { region, .. } => self.bucket(region).fences += 1,
-            MemEvent::RegionBegin { region, .. } => {
-                self.begins += 1;
-                self.regions.entry(region.0).or_default();
-            }
-            MemEvent::RegionCommit { .. } => self.commits += 1,
-            _ => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,47 +239,5 @@ mod tests {
     #[test]
     fn region_id_displays() {
         assert_eq!(RegionId(7).to_string(), "region#7");
-    }
-
-    #[test]
-    fn region_tally_buckets_by_region() {
-        use crate::config::MachineConfig;
-        use crate::machine::Machine;
-
-        let mut m = Machine::new(
-            MachineConfig::default()
-                .with_cores(1)
-                .with_nvmm_bytes(1 << 20),
-        );
-        let arr = m.alloc::<u64>(64).unwrap();
-        let tally = RegionTally::shared();
-        m.set_observer(tally.clone());
-        {
-            let mut ctx = m.ctx(0);
-            ctx.store(arr, 0, 1u64); // outside any region
-            ctx.region_begin(7);
-            ctx.store(arr, 1, 2u64);
-            ctx.store(arr, 2, 3u64);
-            ctx.clflushopt(arr.addr(1));
-            ctx.sfence();
-            ctx.region_end();
-            ctx.region_begin(8);
-            ctx.store(arr, 3, 4u64);
-            ctx.region_end();
-            ctx.sfence(); // outside again
-        }
-        let t = tally.lock().unwrap();
-        assert_eq!(t.begins, 2);
-        assert_eq!(t.commits, 2);
-        assert_eq!(t.outside.stores, 1);
-        assert_eq!(t.outside.fences, 1);
-        assert_eq!(t.outside.flushes, 0);
-        assert_eq!(t.regions.len(), 2);
-        let total = t.in_region();
-        assert_eq!(total.stores, 3);
-        assert_eq!(total.flushes, 1);
-        assert_eq!(total.fences, 1);
-        let per: Vec<u64> = t.regions.values().map(|c| c.stores).collect();
-        assert_eq!(per, vec![2, 1]);
     }
 }

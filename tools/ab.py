@@ -64,10 +64,16 @@ def overlap(parent, change):
     return max(parent) >= min(change) and max(change) >= min(parent)
 
 
+# Fewest pairs that can show a gain: with fewer, the quartiles are near the
+# extremes and a handful of lucky wins passes the nine-in-ten rule.
+MIN_GAIN_PAIRS = 10
+
+
 def verdict(parent, change, better, bound):
     """One of: unresolved, regression, gain, within bound.
 
-    parent[i] and change[i] are the two runs of pair i.
+    parent[i] and change[i] are the two runs of pair i. A gain needs at
+    least MIN_GAIN_PAIRS pairs; fewer can still show a regression.
     """
     if max(spread(parent), spread(change)) > bound and overlap(parent, change):
         return "unresolved"
@@ -77,7 +83,8 @@ def verdict(parent, change, better, bound):
     if sign * (p_med - c_med) / p_med > bound:
         return "regression"
     won, _ = wins(parent, change, better)
-    if 10 * won >= 9 * len(parent) and sign * (c_med - p_med) > p_q3 - p_q1:
+    if (len(parent) >= MIN_GAIN_PAIRS and 10 * won >= 9 * len(parent)
+            and sign * (c_med - p_med) > p_q3 - p_q1):
         return "gain"
     return "within bound"
 

@@ -69,6 +69,15 @@ class VerdictTest(unittest.TestCase):
         self.assertEqual(ab.wins(STEADY, change, "higher"), (8, 2))
         self.assertEqual(ab.verdict(STEADY, change, "higher", 0.25), "within bound")
 
+    def test_three_pairs_show_no_gain_but_still_regress(self):
+        parent = [100, 101, 99]
+        change = [200, 202, 198]
+        self.assertLess(max(ab.spread(parent), ab.spread(change)), 0.25)
+        self.assertEqual(ab.wins(parent, change, "higher"), (3, 0))
+        self.assertEqual(ab.verdict(parent, change, "higher", 0.25), "within bound")
+        self.assertEqual(ab.verdict(parent, [x * 0.7 for x in parent], "higher", 0.25),
+                         "regression")
+
     def test_lower_is_better_inverts(self):
         doubled = [x * 2 for x in STEADY]
         halved = [x / 2 for x in STEADY]
