@@ -108,8 +108,16 @@ echo "== perfbench A/B vs $BASE on this host: 3 pairs per workload, --seconds 0 
 # Bench-scale cell's rec_cycles / memops / exec_cycles, and each census or
 # faults case's states_checked / dedup_hits plus a clean report, with
 # perfbench/pins.txt, and a run with a drifted or failed cell is not
-# correct. ab.py refuses any run that is not correct and fails on a metric
-# worse than the parent's by more than its BENCHMARK.json bound.
+# correct. ab.py refuses any run that is not correct. It fails on a metric
+# worse than the parent's by more than its BENCHMARK.json bound only when
+# the runs resolve it: if either side's IQR / median exceeds the bound and
+# the two sides' runs overlap, it prints "unresolved" and exits 0. With 3
+# pairs that is common: a no-op change left 7 of 12 metrics unresolved,
+# and the gate caught injected slowdowns of 0.39-0.67x
+# (results/one_benchmark_ab.md). kernels throughput spreads 0.298-0.333
+# (IQR / median) over ten 30 s runs of one build
+# (results/cost_model_retirement_ab.md), past its 0.25 bound, so a 25%
+# kernels slowdown can pass here as unresolved.
 python3 tools/ab.py "$BASE" --pairs 3 --seconds 0
 
 echo "ci.sh: all gates passed"

@@ -394,7 +394,7 @@ pub fn ep_skip_flush() -> Rig {
 /// WAL transaction mutates data in place *before* its undo log is
 /// durable: a crash in that window leaves modified data with no log to
 /// roll it back, so the re-run double-applies the update.
-// lp-lint: context(wal)
+// Linted as WAL code: its name contains `wal`.
 pub fn wal_data_before_log() -> Rig {
     const KEY: usize = 4;
     const INIT: f64 = 5.0;

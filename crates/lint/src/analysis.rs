@@ -29,8 +29,10 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::cfg::Cfg;
-use crate::config::{FnContext, LintConfig};
-use crate::lexer::Directive;
+use crate::config::{
+    is_accessor, is_fold_receiver, is_log, is_log_header, is_marker, is_parity, is_region_receiver,
+    is_sink_receiver, is_table, strip_accessors, FnContext,
+};
 use crate::parser::{parse_file, FnItem, Node, ParsedFile, RawCall};
 use crate::report::{LintFinding, LintReport, SRule};
 
@@ -77,14 +79,15 @@ enum Kind {
     Other,
 }
 
-/// Classify a call site using the name-allowlist config.
-fn classify(call: &RawCall, cfg: &LintConfig, is_wal_file: bool) -> Kind {
+/// Classify a call site by the naming vocabulary (`crate::config`).
+/// `wal_code` is the WAL evidence `log`/`header` targets need.
+fn classify(call: &RawCall, wal_code: bool) -> Kind {
     let recv = call.receiver.as_str();
     let recv_is_ctx = recv.is_empty() || recv.rsplit('.').next() == Some("ctx");
     // Target of a store/flush: explicit argument for ctx methods, the
     // receiver itself for container methods (`m.store(ctx, ..)`).
     let arg_target = |arg: &str| -> String {
-        let t = cfg.strip_accessors(arg);
+        let t = strip_accessors(arg);
         if t.rsplit('.').next() == Some("ctx") {
             String::new()
         } else {
@@ -93,10 +96,10 @@ fn classify(call: &RawCall, cfg: &LintConfig, is_wal_file: bool) -> Kind {
     };
     match call.name.as_str() {
         "store" => {
-            if cfg.is_region_receiver(recv) || cfg.is_sink_receiver(recv) {
+            if is_region_receiver(recv) || is_sink_receiver(recv) {
                 return Kind::RegionStore;
             }
-            if cfg.is_table(recv) {
+            if is_table(recv) {
                 return Kind::TablePublish;
             }
             let target = if recv_is_ctx {
@@ -104,15 +107,15 @@ fn classify(call: &RawCall, cfg: &LintConfig, is_wal_file: bool) -> Kind {
             } else {
                 arg_target(recv)
             };
-            if cfg.is_table(&target) {
+            if is_table(&target) {
                 Kind::TablePublish
-            } else if cfg.is_parity(&target) {
+            } else if is_parity(&target) {
                 Kind::ParityPublish
-            } else if cfg.is_marker(&target) {
+            } else if is_marker(&target) {
                 Kind::MarkerPublish
-            } else if cfg.is_log(&target, is_wal_file) {
+            } else if is_log(&target, wal_code) {
                 Kind::LogAppend
-            } else if cfg.is_log_header(&target, is_wal_file) {
+            } else if is_log_header(&target, wal_code) {
                 Kind::StatusPublish
             } else if target.is_empty() {
                 Kind::DataStore("<expr>".into())
@@ -122,7 +125,7 @@ fn classify(call: &RawCall, cfg: &LintConfig, is_wal_file: bool) -> Kind {
         }
         "store_addr" => {
             let target = arg_target(&call.arg0);
-            if cfg.is_log(&target, is_wal_file) {
+            if is_log(&target, wal_code) {
                 Kind::LogAppend
             } else if target.is_empty() {
                 Kind::DataStore("<expr>".into())
@@ -147,11 +150,11 @@ fn classify(call: &RawCall, cfg: &LintConfig, is_wal_file: bool) -> Kind {
             let t = arg_target(&call.arg1);
             Kind::PersistRange((!t.is_empty()).then_some(t))
         }
-        "persist" if cfg.is_table(recv) => Kind::TablePersist,
-        "update" if cfg.is_fold_receiver(recv) => Kind::Fold,
-        "begin" if cfg.is_region_receiver(recv) => Kind::RegionBegin,
+        "persist" if is_table(recv) => Kind::TablePersist,
+        "update" if is_fold_receiver(recv) => Kind::Fold,
+        "begin" if is_region_receiver(recv) => Kind::RegionBegin,
         "region_begin" => Kind::RegionBegin,
-        "commit" | "abort" if cfg.is_region_receiver(recv) => Kind::RegionEnd,
+        "commit" | "abort" if is_region_receiver(recv) => Kind::RegionEnd,
         "region_commit" | "region_end" => Kind::RegionEnd,
         "commit" => Kind::Barrier,
         _ => Kind::Other,
@@ -232,6 +235,24 @@ impl AbsState {
         self.flushed
             .retain(|_, f| !f.base.is_empty() && f.base != target);
     }
+
+    /// Drop must-facts of the arrays a call may store through: its first
+    /// two arguments, plus every fact with an unresolved base.
+    fn kill_args(&mut self, call: &RawCall) {
+        let (a0, a1) = (strip_accessors(&call.arg0), strip_accessors(&call.arg1));
+        self.flushed
+            .retain(|_, f| !f.base.is_empty() && f.base != a0 && f.base != a1);
+    }
+
+    /// A fence at `line`: every flushed store is now ordered, and so is
+    /// any WAL append seen on this path.
+    fn fenced(&mut self, line: u32) {
+        self.unfenced.clear();
+        if self.appends > 0 {
+            self.log_fenced = true;
+        }
+        self.fence_clean = Some(line);
+    }
 }
 
 /// Join two states at a merge point: union for may facts, intersection
@@ -293,29 +314,49 @@ fn widen(st: &mut AbsState, span: (u32, u32)) {
     }
 }
 
-/// Per-function facts gathered in a syntactic prepass.
+/// Per-function facts gathered in a syntactic prepass over every call
+/// of the body.
 #[derive(Debug, Default, Clone, Copy)]
 struct FnFacts {
     has_append: bool,
     has_begin: bool,
     has_fold: bool,
+    /// Some persistent store, publishes included.
+    does_store: bool,
+    /// A table/marker/status/parity publish or a region end.
+    publishes: bool,
 }
 
-fn gather_facts(nodes: &[Node], cfg: &LintConfig, is_wal_file: bool, facts: &mut FnFacts) {
+fn gather_facts(nodes: &[Node], wal_code: bool, facts: &mut FnFacts) {
     for n in nodes {
         match n {
-            Node::Call(c) => match classify(c, cfg, is_wal_file) {
-                Kind::LogAppend => facts.has_append = true,
+            Node::Call(c) => match classify(c, wal_code) {
+                Kind::LogAppend => {
+                    facts.has_append = true;
+                    facts.does_store = true;
+                }
                 Kind::RegionBegin => facts.has_begin = true,
                 Kind::Fold => facts.has_fold = true,
+                Kind::DataStore(_) | Kind::RegionStore | Kind::DurableStore => {
+                    facts.does_store = true;
+                }
+                Kind::TablePublish
+                | Kind::TablePersist
+                | Kind::MarkerPublish
+                | Kind::StatusPublish
+                | Kind::ParityPublish
+                | Kind::RegionEnd => {
+                    facts.does_store = true;
+                    facts.publishes = true;
+                }
                 _ => {}
             },
             Node::Branch(arms) => {
                 for a in arms {
-                    gather_facts(a, cfg, is_wal_file, facts);
+                    gather_facts(a, wal_code, facts);
                 }
             }
-            Node::Loop(body) => gather_facts(body, cfg, is_wal_file, facts),
+            Node::Loop(body) => gather_facts(body, wal_code, facts),
             Node::Diverge => {}
         }
     }
@@ -338,74 +379,23 @@ pub(crate) struct FnSummary {
 /// or bare name for free functions.
 pub(crate) type Summaries = BTreeMap<String, FnSummary>;
 
-fn summary_flags(nodes: &[Node], cfg: &LintConfig, is_wal: bool, s: &mut FnSummary) {
-    for n in nodes {
-        match n {
-            Node::Call(c) => match classify(c, cfg, is_wal) {
-                Kind::DataStore(_) | Kind::RegionStore | Kind::LogAppend | Kind::DurableStore => {
-                    s.does_store = true;
-                }
-                Kind::TablePublish
-                | Kind::TablePersist
-                | Kind::MarkerPublish
-                | Kind::StatusPublish
-                | Kind::ParityPublish
-                | Kind::RegionEnd => {
-                    s.does_store = true;
-                    s.publishes = true;
-                }
-                _ => {}
-            },
-            Node::Branch(arms) => {
-                for a in arms {
-                    summary_flags(a, cfg, is_wal, s);
-                }
-            }
-            Node::Loop(body) => summary_flags(body, cfg, is_wal, s),
-            Node::Diverge => {}
-        }
-    }
-}
-
-/// Whether `f` is WAL code — in a WAL-flavored file or under a
-/// `context(wal)` directive — the evidence `log`/`header` targets need to
-/// classify as the undo log.
-fn is_wal(parsed: &ParsedFile, f: &FnItem) -> bool {
-    parsed.is_wal || f.context == FnContext::Wal
-}
-
 /// Compute summaries for every function in a parsed file. Summaries are
 /// depth-0: each body is solved with an *empty* summary table, so helper
 /// chains degrade to the conservative unknown-call treatment rather than
 /// requiring a call-graph SCC pass.
-pub(crate) fn summarize_file(parsed: &ParsedFile, cfg: &LintConfig) -> Summaries {
+pub(crate) fn summarize_file(parsed: &ParsedFile) -> Summaries {
     let empty = Summaries::new();
+    let mut sink = Vec::new();
     let mut out = Summaries::new();
     for f in &parsed.fns {
-        if f.context == FnContext::Ignore {
-            continue;
-        }
-        let is_wal = is_wal(parsed, f);
-        let mut s = FnSummary::default();
-        summary_flags(&f.body, cfg, is_wal, &mut s);
-        let mut facts = FnFacts::default();
-        gather_facts(&f.body, cfg, is_wal, &mut facts);
-        let mut sink = Vec::new();
-        let mut ev = Eval {
-            cfg,
-            file: "",
-            function: &f.name,
-            context: f.context,
-            is_wal_file: is_wal,
-            facts,
-            impl_ty: f.name.split_once("::").map(|(t, _)| t.to_string()),
-            bindings: &f.bindings,
-            summaries: &empty,
-            emit_on: false,
-            findings: &mut sink,
-        };
+        let mut ev = Eval::new(parsed, f, "", &empty, &mut sink);
         let graph = Cfg::build(&f.body);
         let (_, outs) = ev.solve(&graph);
+        let mut s = FnSummary {
+            does_store: ev.facts.does_store,
+            publishes: ev.facts.publishes,
+            ..FnSummary::default()
+        };
         if let Some(exit) = &outs[graph.exit] {
             s.residual_unflushed = exit
                 .unflushed
@@ -421,16 +411,12 @@ pub(crate) fn summarize_file(parsed: &ParsedFile, cfg: &LintConfig) -> Summaries
 
 /// Evaluation harness for one function.
 struct Eval<'a> {
-    cfg: &'a LintConfig,
     file: &'a str,
-    function: &'a str,
-    context: FnContext,
-    is_wal_file: bool,
+    f: &'a FnItem,
+    /// WAL evidence for `log`/`header` targets: a WAL file or a WAL
+    /// function.
+    wal_code: bool,
     facts: FnFacts,
-    /// Impl type of the current function (`Tmm` for `Tmm::run`).
-    impl_ty: Option<String>,
-    /// `let var = Type…` bindings from the function body.
-    bindings: &'a [(String, String)],
     summaries: &'a Summaries,
     /// Findings are recorded only during the emission phase.
     emit_on: bool,
@@ -438,6 +424,29 @@ struct Eval<'a> {
 }
 
 impl<'a> Eval<'a> {
+    /// The harness for `f` of `parsed`, reporting under `file` and
+    /// resolving helper calls through `summaries`.
+    fn new(
+        parsed: &ParsedFile,
+        f: &'a FnItem,
+        file: &'a str,
+        summaries: &'a Summaries,
+        findings: &'a mut Vec<LintFinding>,
+    ) -> Self {
+        let wal_code = parsed.is_wal || f.context == FnContext::Wal;
+        let mut facts = FnFacts::default();
+        gather_facts(&f.body, wal_code, &mut facts);
+        Eval {
+            file,
+            f,
+            wal_code,
+            facts,
+            summaries,
+            emit_on: false,
+            findings,
+        }
+    }
+
     fn emit(&mut self, rule: SRule, line: u32, detail: String) {
         if !self.emit_on {
             return;
@@ -446,22 +455,22 @@ impl<'a> Eval<'a> {
             rule,
             file: self.file.to_string(),
             line,
-            function: self.function.to_string(),
+            function: self.f.name.clone(),
             detail,
         });
     }
 
     /// Resolve a call to a summarized function: free calls by bare name,
-    /// `self.m(..)` through the impl type, `var.m(..)` through a
-    /// `let var = Type…` binding.
+    /// `self.m(..)` through the impl type (`Tmm` for `Tmm::run`),
+    /// `var.m(..)` through a `let var = Type…` binding.
     fn resolve(&self, call: &RawCall) -> Option<&'a FnSummary> {
         let recv = call.receiver.as_str();
         let key = if recv.is_empty() {
             call.name.clone()
         } else if recv == "self" {
-            format!("{}::{}", self.impl_ty.as_deref()?, call.name)
+            format!("{}::{}", self.f.name.split_once("::")?.0, call.name)
         } else if !recv.contains('.') {
-            let ty = &self.bindings.iter().rev().find(|(v, _)| v == recv)?.1;
+            let ty = &self.f.bindings.iter().rev().find(|(v, _)| v == recv)?.1;
             format!("{ty}::{}", call.name)
         } else {
             return None;
@@ -493,10 +502,10 @@ impl<'a> Eval<'a> {
 
     /// Transfer function: one call against the abstract state.
     fn apply(&mut self, call: &RawCall, st: &mut AbsState) {
-        if self.cfg.accessor_suffixes.iter().any(|a| a == &call.name) {
+        if is_accessor(&call.name) {
             return; // pure accessor (`arr.addr(i)`) nested in another call
         }
-        let kind = classify(call, self.cfg, self.is_wal_file);
+        let kind = classify(call, self.wal_code);
         let line = call.line;
         match kind {
             Kind::DataStore(target) => {
@@ -518,7 +527,7 @@ impl<'a> Eval<'a> {
                         ),
                     );
                 }
-                if self.context == FnContext::Recovery {
+                if self.f.context == FnContext::Recovery {
                     if let Some(ml) = st.marker_line {
                         self.emit(
                             SRule::S4MarkerBeforeRepairFence,
@@ -565,7 +574,7 @@ impl<'a> Eval<'a> {
                 st.fence_clean = None;
             }
             Kind::TablePublish | Kind::TablePersist => {
-                match self.context {
+                match self.f.context {
                     FnContext::Recovery => {
                         self.check_publish(
                             SRule::S4MarkerBeforeRepairFence,
@@ -590,7 +599,7 @@ impl<'a> Eval<'a> {
                 st.fence_clean = None;
             }
             Kind::MarkerPublish => {
-                match self.context {
+                match self.f.context {
                     FnContext::Recovery => {
                         self.check_publish(
                             SRule::S4MarkerBeforeRepairFence,
@@ -611,11 +620,11 @@ impl<'a> Eval<'a> {
                         );
                     }
                 }
-                st.flushed.retain(|_, f| !self.cfg.is_marker(&f.base));
+                st.flushed.retain(|_, f| !is_marker(&f.base));
                 st.fence_clean = None;
             }
             Kind::StatusPublish => {
-                if self.context == FnContext::Recovery {
+                if self.f.context == FnContext::Recovery {
                     self.check_publish(
                         SRule::S4MarkerBeforeRepairFence,
                         "WAL status/marker line stored in recovery",
@@ -624,17 +633,16 @@ impl<'a> Eval<'a> {
                     );
                 }
                 st.flushed
-                    .retain(|_, f| !self.cfg.is_log_header(&f.base, self.is_wal_file));
+                    .retain(|_, f| !is_log_header(&f.base, self.wal_code));
                 st.fence_clean = None;
             }
             Kind::LogAppend => {
                 st.appends = st.appends.saturating_add(1).min(8);
-                st.flushed
-                    .retain(|_, f| !self.cfg.is_log(&f.base, self.is_wal_file));
+                st.flushed.retain(|_, f| !is_log(&f.base, self.wal_code));
                 st.fence_clean = None;
             }
             Kind::ParityPublish => {
-                if self.context == FnContext::Recovery {
+                if self.f.context == FnContext::Recovery {
                     // Recovery re-publish: the parity vouches for the
                     // repaired lines, so they must be flushed and fenced
                     // first (the recovery half of dynamic R8).
@@ -647,55 +655,11 @@ impl<'a> Eval<'a> {
                 } else if st.parity_line.is_none() {
                     st.parity_line = Some(line);
                 }
-                st.flushed.retain(|_, f| !self.cfg.is_parity(&f.base));
+                st.flushed.retain(|_, f| !is_parity(&f.base));
                 st.fence_clean = None;
             }
             Kind::Flush(target) => {
-                let (key, range) = flush_key(call);
-                let base = target.clone().unwrap_or_default();
-                if !range && !base.is_empty() {
-                    if let Some(prev) = st.flushed.values().find(|f| f.range && f.base == base) {
-                        self.emit(
-                            SRule::W3ShadowedFlush,
-                            line,
-                            format!(
-                                "element flush of `{base}` already covered by the range flush at line {}",
-                                prev.line
-                            ),
-                        );
-                    }
-                }
-                if let Some(prev) = st.flushed.get(&key) {
-                    let what = if base.is_empty() {
-                        "this line"
-                    } else {
-                        base.as_str()
-                    };
-                    self.emit(
-                        SRule::W1RedundantFlush,
-                        line,
-                        format!(
-                            "`{what}` flushed again with no intervening store on any path (already clean since the flush at line {})",
-                            prev.line
-                        ),
-                    );
-                } else {
-                    st.flushed.insert(key, FlushFact { line, base, range });
-                }
-                match target {
-                    Some(t) => {
-                        if let Some(l) = st.unflushed.remove(&t) {
-                            st.unfenced.entry(t).or_insert(l);
-                        }
-                    }
-                    None => {
-                        let moved: Vec<(String, u32)> =
-                            std::mem::take(&mut st.unflushed).into_iter().collect();
-                        for (t, l) in moved {
-                            st.unfenced.entry(t).or_insert(l);
-                        }
-                    }
-                }
+                self.flush(call, target, "this line", st);
                 st.fence_clean = None;
             }
             Kind::Fence => {
@@ -708,19 +672,11 @@ impl<'a> Eval<'a> {
                         ),
                     );
                 }
-                st.unfenced.clear();
-                if st.appends > 0 {
-                    st.log_fenced = true;
-                }
-                st.fence_clean = Some(line);
+                st.fenced(line);
             }
             Kind::Barrier => {
                 st.unflushed.clear();
-                st.unfenced.clear();
-                if st.appends > 0 {
-                    st.log_fenced = true;
-                }
-                st.fence_clean = Some(line);
+                st.fenced(line);
             }
             Kind::Fold => st.unfolded.clear(),
             Kind::RegionBegin => {
@@ -737,7 +693,7 @@ impl<'a> Eval<'a> {
                         "region commit/abort without a matching begin on this path".to_string(),
                     );
                 }
-                if self.context == FnContext::Forward && self.facts.has_fold {
+                if self.f.context == FnContext::Forward && self.facts.has_fold {
                     if let Some((t, l)) = st.unfolded.iter().next() {
                         let n = st.unfolded.len();
                         self.emit(
@@ -754,51 +710,12 @@ impl<'a> Eval<'a> {
                 st.fence_clean = None;
             }
             Kind::DurableStore => {
-                let a0 = self.cfg.strip_accessors(&call.arg0).to_string();
-                let a1 = self.cfg.strip_accessors(&call.arg1).to_string();
-                st.flushed
-                    .retain(|_, f| !f.base.is_empty() && f.base != a0 && f.base != a1);
+                st.kill_args(call);
                 st.fence_clean = Some(line);
             }
             Kind::PersistRange(target) => {
-                let (key, range) = flush_key(call);
-                let base = target.clone().unwrap_or_default();
-                if let Some(prev) = st.flushed.get(&key) {
-                    let what = if base.is_empty() {
-                        "this range"
-                    } else {
-                        base.as_str()
-                    };
-                    self.emit(
-                        SRule::W1RedundantFlush,
-                        line,
-                        format!(
-                            "`{what}` flushed again with no intervening store on any path (already clean since the flush at line {})",
-                            prev.line
-                        ),
-                    );
-                } else {
-                    st.flushed.insert(key, FlushFact { line, base, range });
-                }
-                match target {
-                    Some(t) => {
-                        if let Some(l) = st.unflushed.remove(&t) {
-                            st.unfenced.entry(t).or_insert(l);
-                        }
-                    }
-                    None => {
-                        let moved: Vec<(String, u32)> =
-                            std::mem::take(&mut st.unflushed).into_iter().collect();
-                        for (t, l) in moved {
-                            st.unfenced.entry(t).or_insert(l);
-                        }
-                    }
-                }
-                st.unfenced.clear();
-                if st.appends > 0 {
-                    st.log_fenced = true;
-                }
-                st.fence_clean = Some(line);
+                self.flush(call, target, "this range", st);
+                st.fenced(line);
             }
             Kind::Other => {
                 if let Some(s) = self.resolve(call) {
@@ -817,11 +734,65 @@ impl<'a> Eval<'a> {
                     }
                 } else {
                     // Unknown call: it may store through any argument.
-                    let a0 = self.cfg.strip_accessors(&call.arg0).to_string();
-                    let a1 = self.cfg.strip_accessors(&call.arg1).to_string();
-                    st.flushed
-                        .retain(|_, f| !f.base.is_empty() && f.base != a0 && f.base != a1);
+                    st.kill_args(call);
                     st.fence_clean = None;
+                }
+            }
+        }
+    }
+
+    /// The flush step of `Flush` and `PersistRange`: W3 (element flushes
+    /// only) and W1, then the flushed target's stores move from
+    /// unflushed to unfenced. `unresolved` names a target that could not
+    /// be resolved in W1's message.
+    fn flush(
+        &mut self,
+        call: &RawCall,
+        target: Option<String>,
+        unresolved: &str,
+        st: &mut AbsState,
+    ) {
+        let line = call.line;
+        let (key, range) = flush_key(call);
+        let base = target.clone().unwrap_or_default();
+        if !range && !base.is_empty() {
+            if let Some(prev) = st.flushed.values().find(|f| f.range && f.base == base) {
+                self.emit(
+                    SRule::W3ShadowedFlush,
+                    line,
+                    format!(
+                        "element flush of `{base}` already covered by the range flush at line {}",
+                        prev.line
+                    ),
+                );
+            }
+        }
+        if let Some(prev) = st.flushed.get(&key) {
+            let what = if base.is_empty() {
+                unresolved
+            } else {
+                base.as_str()
+            };
+            self.emit(
+                SRule::W1RedundantFlush,
+                line,
+                format!(
+                    "`{what}` flushed again with no intervening store on any path (already clean since the flush at line {})",
+                    prev.line
+                ),
+            );
+        } else {
+            st.flushed.insert(key, FlushFact { line, base, range });
+        }
+        match target {
+            Some(t) => {
+                if let Some(l) = st.unflushed.remove(&t) {
+                    st.unfenced.entry(t).or_insert(l);
+                }
+            }
+            None => {
+                for (t, l) in std::mem::take(&mut st.unflushed) {
+                    st.unfenced.entry(t).or_insert(l);
                 }
             }
         }
@@ -894,8 +865,8 @@ impl<'a> Eval<'a> {
     /// Phase 2: emission over the converged states, plus the structural
     /// S5 checks (branch-join imbalance, loop-head imbalance, open region
     /// at exit).
-    fn run(&mut self, f: &FnItem) {
-        let g = Cfg::build(&f.body);
+    fn run(&mut self) {
+        let g = Cfg::build(&self.f.body);
         self.emit_on = false;
         let (ins, outs) = self.solve(&g);
         self.emit_on = true;
@@ -953,7 +924,7 @@ impl<'a> Eval<'a> {
                 );
             }
         }
-        self.w4_pass(&f.body);
+        self.w4_pass(&self.f.body);
     }
 
     // ---- W4: missed coalescing (syntactic loop pass) ----
@@ -994,7 +965,7 @@ impl<'a> Eval<'a> {
         let mut hits: Vec<(String, usize, u32)> = Vec::new();
         for n in body {
             match n {
-                Node::Call(c) => match classify(c, self.cfg, self.is_wal_file) {
+                Node::Call(c) => match classify(c, self.wal_code) {
                     Kind::Flush(Some(base)) => {
                         let (key, range) = flush_key(c);
                         if range {
@@ -1061,7 +1032,7 @@ impl<'a> Eval<'a> {
     ) {
         for n in nodes {
             match n {
-                Node::Call(c) => match classify(c, self.cfg, self.is_wal_file) {
+                Node::Call(c) => match classify(c, self.wal_code) {
                     Kind::DataStore(_) | Kind::RegionStore | Kind::DurableStore => *stores = true,
                     Kind::TablePublish
                     | Kind::TablePersist
@@ -1112,41 +1083,12 @@ impl<'a> Eval<'a> {
 pub(crate) fn analyze_parsed(
     parsed: &ParsedFile,
     file_label: &str,
-    cfg: &LintConfig,
     summaries: &Summaries,
 ) -> LintReport {
     let mut findings = Vec::new();
     for f in &parsed.fns {
-        if f.context == FnContext::Ignore {
-            continue;
-        }
-        let is_wal = is_wal(parsed, f);
-        let mut facts = FnFacts::default();
-        gather_facts(&f.body, cfg, is_wal, &mut facts);
-        let mut ev = Eval {
-            cfg,
-            file: file_label,
-            function: &f.name,
-            context: f.context,
-            is_wal_file: is_wal,
-            facts,
-            impl_ty: f.name.split_once("::").map(|(t, _)| t.to_string()),
-            bindings: &f.bindings,
-            summaries,
-            emit_on: false,
-            findings: &mut findings,
-        };
-        ev.run(f);
+        Eval::new(parsed, f, file_label, summaries, &mut findings).run();
     }
-    // `lp-lint: allow(Sx)` on the finding's line or the line above
-    // suppresses it.
-    findings.retain(|f| {
-        !parsed.directives.iter().any(|(line, d)| {
-            matches!(d, Directive::Allow(rules)
-                if (*line == f.line || line + 1 == f.line)
-                    && rules.iter().any(|r| SRule::from_id(r) == Some(f.rule)))
-        })
-    });
     let mut report = LintReport {
         files: vec![file_label.to_string()],
         functions: parsed.fns.len(),
@@ -1159,15 +1101,10 @@ pub(crate) fn analyze_parsed(
 /// Analyze one source file. `file_label` is the path used in findings;
 /// `file_stem` drives WAL-context inference. Summaries are built from the
 /// file itself; for cross-file summaries use [`crate::lint_paths`].
-pub fn analyze_source(
-    src: &str,
-    file_label: &str,
-    file_stem: &str,
-    cfg: &LintConfig,
-) -> LintReport {
-    let parsed = parse_file(src, file_stem, cfg);
-    let summaries = summarize_file(&parsed, cfg);
-    analyze_parsed(&parsed, file_label, cfg, &summaries)
+pub fn analyze_source(src: &str, file_label: &str, file_stem: &str) -> LintReport {
+    let parsed = parse_file(src, file_stem);
+    let summaries = summarize_file(&parsed);
+    analyze_parsed(&parsed, file_label, &summaries)
 }
 
 #[cfg(test)]
@@ -1175,11 +1112,11 @@ mod tests {
     use super::*;
 
     fn lint(src: &str) -> LintReport {
-        analyze_source(src, "mem.rs", "mem", &LintConfig::default())
+        analyze_source(src, "mem.rs", "mem")
     }
 
     fn lint_wal(src: &str) -> LintReport {
-        analyze_source(src, "wal.rs", "wal", &LintConfig::default())
+        analyze_source(src, "wal.rs", "wal")
     }
 
     #[test]
@@ -1262,12 +1199,11 @@ mod tests {
     }
 
     #[test]
-    fn wal_context_directive_is_wal_evidence() {
-        // A non-`wal` file stem: only the directive marks `log` as the
-        // undo log, so the data store ahead of its fence is S3.
+    fn wal_fn_name_is_wal_evidence() {
+        // A non-`wal` file stem: only the function's name marks `log` as
+        // the undo log, so the data store ahead of its fence is S3.
         let r = lint(
-            "// lp-lint: context(wal)\n\
-             fn commit(ctx: &mut C) {\n\
+            "fn wal_commit(ctx: &mut C) {\n\
                ctx.store(arr, 0, v);\n\
                ctx.store(log, 0, old);\n\
                ctx.clflushopt(log.addr(0));\n\
@@ -1275,7 +1211,7 @@ mod tests {
              }",
         );
         assert!(r.flags(SRule::S3OverwriteBeforeLogFence), "{r}");
-        assert_eq!(r.findings[0].line, 3);
+        assert_eq!(r.findings[0].line, 2);
     }
 
     #[test]
@@ -1403,18 +1339,6 @@ mod tests {
                ctx.store(self.buf, 0, v);\n\
                persist_range(ctx, self.buf, 0, n);\n\
                ctx.store(self.markers, tid, 2);\n\
-             }",
-        );
-        assert!(r.is_clean(), "{r}");
-    }
-
-    #[test]
-    fn allow_directive_suppresses() {
-        let r = lint(
-            "fn run(ctx: &mut C) {\n\
-               ctx.store(self.buf, 0, v);\n\
-               // lp-lint: allow(S1) intentional: covered by caller\n\
-               ctx.store(self.markers, tid, 1);\n\
              }",
         );
         assert!(r.is_clean(), "{r}");

@@ -167,11 +167,10 @@ fn span_of(nodes: &[Node]) -> (u32, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LintConfig;
     use crate::parser::parse_file;
 
     fn cfg_of(src: &str) -> Cfg {
-        let f = parse_file(src, "test", &LintConfig::default());
+        let f = parse_file(src, "test");
         Cfg::build(&f.fns[0].body)
     }
 

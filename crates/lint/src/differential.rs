@@ -13,7 +13,6 @@ use std::fmt;
 use lp_crashmc::rigs::{self, LintVerdict};
 
 use crate::analysis::analyze_source;
-use crate::config::LintConfig;
 use crate::report::{LintReport, SRule, Twin};
 
 /// The clean control fixture: correct LP/EP/recovery idioms that must
@@ -27,8 +26,8 @@ pub const CLEAN_FIXTURE: (&str, &str) = (
 const RIGS_LABEL: &str = "crates/crashmc/src/rigs.rs";
 
 /// The lint report over the registry source.
-pub fn rigs_report(cfg: &LintConfig) -> LintReport {
-    analyze_source(rigs::SOURCE, RIGS_LABEL, "rigs", cfg)
+pub fn rigs_report() -> LintReport {
+    analyze_source(rigs::SOURCE, RIGS_LABEL, "rigs")
 }
 
 /// Efficiency expectations: every W/S6 fixture must be flagged with its
@@ -135,8 +134,8 @@ impl fmt::Display for DifferentialOutcome {
 /// Run the full differential: every static rig against its function in
 /// the registry source, every efficiency fixture against its rule, plus
 /// the clean control.
-pub fn run_differential(cfg: &LintConfig) -> DifferentialOutcome {
-    let report = rigs_report(cfg);
+pub fn run_differential() -> DifferentialOutcome {
+    let report = rigs_report();
     let mut rigs: Vec<RigResult> = rigs::all()
         .iter()
         .map(|rig| {
@@ -193,7 +192,7 @@ pub fn run_differential(cfg: &LintConfig) -> DifferentialOutcome {
     for (rig, file, src, rule) in efficiency_expectations() {
         let stem = file.trim_end_matches(".rs");
         let label = format!("fixtures/{file}");
-        let report = analyze_source(src, &label, stem, cfg);
+        let report = analyze_source(src, &label, stem);
         let twin = match rule.dynamic_twin() {
             Twin::DynamicRule(r) => format!("dynamic {r}"),
             Twin::Counter(c) => format!("{c} counter"),
@@ -226,7 +225,6 @@ pub fn run_differential(cfg: &LintConfig) -> DifferentialOutcome {
         CLEAN_FIXTURE.1,
         "fixtures/clean_control.rs",
         "clean_control",
-        cfg,
     );
     DifferentialOutcome {
         rigs,
@@ -255,13 +253,13 @@ mod tests {
 
     #[test]
     fn differential_passes_end_to_end() {
-        let out = run_differential(&LintConfig::default());
+        let out = run_differential();
         assert!(out.pass(), "{out}");
     }
 
     #[test]
     fn at_least_six_rigs_are_static() {
-        let out = run_differential(&LintConfig::default());
+        let out = run_differential();
         assert!(out.static_count() >= 6, "{}", out.static_count());
     }
 

@@ -3,9 +3,7 @@
 //! The analyzer needs call names, receiver chains, and block structure —
 //! not full Rust syntax. The lexer therefore strips comments (doc
 //! examples included), string/char literals, and lifetimes, and emits a
-//! flat token stream tagged with 1-based line numbers. `lp-lint:`
-//! directive comments are collected separately by [`scan_directives`]
-//! *before* lexing, since lexing discards comments.
+//! flat token stream tagged with 1-based line numbers.
 
 /// One lexed token.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,52 +21,6 @@ impl Tok {
     pub fn is_punct(&self, c: char) -> bool {
         !self.is_ident && self.text.len() == 1 && self.text.as_bytes()[0] as char == c
     }
-}
-
-/// An `lp-lint:` directive found in a comment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Directive {
-    /// `lp-lint: allow(S1, S4)` — suppress the listed rules on this line
-    /// and the next.
-    Allow(Vec<String>),
-    /// `lp-lint: context(recovery)` — override the inferred context of
-    /// the next `fn`.
-    Context(String),
-}
-
-/// Scan raw source for `lp-lint:` directive comments, keyed by line.
-pub fn scan_directives(src: &str) -> Vec<(u32, Directive)> {
-    let mut out = Vec::new();
-    for (i, raw) in src.lines().enumerate() {
-        let line = i as u32 + 1;
-        let Some(pos) = raw.find("lp-lint:") else {
-            continue;
-        };
-        // Only honor directives inside comments, not string literals.
-        if !raw[..pos].contains("//") {
-            continue;
-        }
-        let rest = raw[pos + "lp-lint:".len()..].trim();
-        if let Some(args) = rest
-            .strip_prefix("allow(")
-            .and_then(|r| r.split(')').next())
-        {
-            let rules: Vec<String> = args
-                .split(',')
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty())
-                .collect();
-            if !rules.is_empty() {
-                out.push((line, Directive::Allow(rules)));
-            }
-        } else if let Some(ctx) = rest
-            .strip_prefix("context(")
-            .and_then(|r| r.split(')').next())
-        {
-            out.push((line, Directive::Context(ctx.trim().to_string())));
-        }
-    }
-    out
 }
 
 /// Lex `src` into tokens. Comments, strings, chars and lifetimes are
@@ -239,23 +191,5 @@ mod tests {
         let texts: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
         assert_eq!(texts[..2], ["fn", "x"]);
         assert!(!texts.contains(&"flush"));
-    }
-
-    #[test]
-    fn directive_scan() {
-        let src = "x\n// lp-lint: allow(S1, S4) reason\ny\n// lp-lint: context(recovery)\n";
-        let d = scan_directives(src);
-        assert_eq!(
-            d,
-            vec![
-                (2, Directive::Allow(vec!["S1".into(), "S4".into()])),
-                (4, Directive::Context("recovery".into())),
-            ]
-        );
-    }
-
-    #[test]
-    fn directive_outside_comment_is_ignored() {
-        assert!(scan_directives("let s = \"lp-lint: allow(S1)\";").is_empty());
     }
 }

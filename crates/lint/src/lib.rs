@@ -31,6 +31,11 @@
 //! | W3 | no element flush of a line already covered by a range flush | `flushes` counter |
 //! | W4 | per-element loop flushes / non-publishing per-iteration barriers are coalesced | `flushes` counter |
 //!
+//! Calls are classified by a fixed naming vocabulary ([`config`]): the
+//! last segment of a receiver or target (`table`, `markers`, `entries`,
+//! `ck`, `tp`, …). A function's context (forward, recovery or WAL) comes
+//! from its name, else from its file's name.
+//!
 //! Findings carry `file:line` spans and are emitted as a structured
 //! [`report::LintReport`] (pretty text or JSON), mirroring lp-check's
 //! `ViolationReport`. The [`differential`] module cross-validates the
@@ -51,7 +56,6 @@ pub mod report;
 use std::path::{Path, PathBuf};
 
 pub use analysis::analyze_source;
-pub use config::LintConfig;
 pub use report::{LintFinding, LintReport, SRule};
 
 /// The default lint surface, relative to the workspace root: every
@@ -80,7 +84,7 @@ pub fn default_targets(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 /// summarized first, so helper-call obligations resolve across files
 /// (a kernel's sink types live in `common.rs`, their call sites in the
 /// kernel files).
-pub fn lint_paths(paths: &[PathBuf], root: &Path, cfg: &LintConfig) -> std::io::Result<LintReport> {
+pub fn lint_paths(paths: &[PathBuf], root: &Path) -> std::io::Result<LintReport> {
     let mut parsed = Vec::new();
     let mut summaries = analysis::Summaries::new();
     for path in paths {
@@ -94,13 +98,13 @@ pub fn lint_paths(paths: &[PathBuf], root: &Path, cfg: &LintConfig) -> std::io::
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_default();
-        let file = parser::parse_file(&src, &stem, cfg);
-        summaries.extend(analysis::summarize_file(&file, cfg));
+        let file = parser::parse_file(&src, &stem);
+        summaries.extend(analysis::summarize_file(&file));
         parsed.push((file, label));
     }
     let mut total = LintReport::default();
     for (file, label) in &parsed {
-        total.merge(analysis::analyze_parsed(file, label, cfg, &summaries));
+        total.merge(analysis::analyze_parsed(file, label, &summaries));
     }
     total.sort();
     Ok(total)
@@ -136,7 +140,7 @@ mod tests {
     fn clean_tree_lints_to_zero_findings() {
         let root = repo_root();
         let targets = default_targets(&root).unwrap();
-        let report = lint_paths(&targets, &root, &LintConfig::default()).unwrap();
+        let report = lint_paths(&targets, &root).unwrap();
         assert!(report.is_clean(), "{report}");
     }
 }

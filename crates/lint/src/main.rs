@@ -17,7 +17,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use lp_lint::differential::run_differential;
-use lp_lint::{default_targets, lint_paths, LintConfig};
+use lp_lint::{default_targets, lint_paths};
 
 struct Options {
     all: bool,
@@ -69,10 +69,8 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let cfg = LintConfig::default();
-
     if opts.differential {
-        let out = run_differential(&cfg);
+        let out = run_differential();
         print!("{out}");
         return if out.pass() {
             ExitCode::SUCCESS
@@ -94,7 +92,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    match lint_paths(&targets, &opts.root, &cfg) {
+    match lint_paths(&targets, &opts.root) {
         Ok(report) => {
             if opts.json {
                 println!("{}", report.to_json());

@@ -9,8 +9,8 @@
 //! blocks are treated as executed in place (a documented approximation;
 //! see DESIGN.md §5e).
 
-use crate::config::{FnContext, LintConfig};
-use crate::lexer::{lex, scan_directives, Directive, Tok};
+use crate::config::{fn_context, is_wal_file, FnContext};
+use crate::lexer::{lex, Tok};
 
 /// A call site as it appears in source, before classification.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,62 +71,28 @@ pub struct FnItem {
 pub struct ParsedFile {
     /// All non-test functions with bodies.
     pub fns: Vec<FnItem>,
-    /// `lp-lint:` directives found in comments, keyed by line.
-    pub directives: Vec<(u32, Directive)>,
     /// Whether the file stem marks this as WAL code.
     pub is_wal: bool,
 }
 
-/// Parse one source file into function trees, resolving each function's
-/// context from (in priority order) `lp-lint: context(...)` directives,
-/// name conventions, then file flavor.
-pub fn parse_file(src: &str, file_stem: &str, cfg: &LintConfig) -> ParsedFile {
-    let directives = scan_directives(src);
+/// Parse one source file into function trees. Each function's context
+/// comes from its name ([`fn_context`]), else from the file's flavor.
+pub fn parse_file(src: &str, file_stem: &str) -> ParsedFile {
     let toks = lex(src);
-    let is_wal = cfg.is_wal_file(file_stem);
+    let is_wal = is_wal_file(file_stem);
     let mut p = P {
         t: &toks,
         i: 0,
         bindings: Vec::new(),
-    };
-    let mut fns = Vec::new();
-    scan_items(&mut p, None, false, false, &mut fns);
-    let bound = bind_context_directives(&directives, &fns);
-    for (f, b) in fns.iter_mut().zip(bound) {
-        let bare = f.name.rsplit("::").next().unwrap_or(&f.name).to_string();
-        f.context = b.or_else(|| cfg.fn_context(&bare)).unwrap_or(if is_wal {
+        file_context: if is_wal {
             FnContext::Wal
         } else {
             FnContext::Forward
-        });
-    }
-    ParsedFile {
-        fns,
-        directives,
-        is_wal,
-    }
-}
-
-/// A `context(...)` directive binds to exactly the next `fn` that starts
-/// within five lines of it (room for attributes and a doc line).
-fn bind_context_directives(
-    directives: &[(u32, Directive)],
-    fns: &[FnItem],
-) -> Vec<Option<FnContext>> {
-    let mut bound = vec![None; fns.len()];
-    for (line, d) in directives {
-        let Directive::Context(c) = d else { continue };
-        let Some(ctx) = FnContext::parse(c) else {
-            continue;
-        };
-        if let Some(idx) = fns
-            .iter()
-            .position(|f| f.line >= *line && f.line <= line + 5)
-        {
-            bound[idx] = Some(ctx);
-        }
-    }
-    bound
+        },
+    };
+    let mut fns = Vec::new();
+    scan_items(&mut p, None, false, false, &mut fns);
+    ParsedFile { fns, is_wal }
 }
 
 struct P<'a> {
@@ -134,6 +100,8 @@ struct P<'a> {
     i: usize,
     /// `let` bindings collected while parsing the current fn body.
     bindings: Vec<(String, String)>,
+    /// Context of a function whose name implies none.
+    file_context: FnContext,
 }
 
 impl P<'_> {
@@ -715,6 +683,7 @@ fn scan_items(
                     p.bindings.clear();
                     let body = p.parse_block();
                     let bindings = std::mem::take(&mut p.bindings);
+                    let context = fn_context(&name).unwrap_or(p.file_context);
                     let qualified = match impl_ty {
                         Some(ty) => format!("{ty}::{name}"),
                         None => name,
@@ -722,7 +691,7 @@ fn scan_items(
                     out.push(FnItem {
                         name: qualified,
                         line,
-                        context: FnContext::Forward,
+                        context,
                         body,
                         bindings,
                     });
@@ -779,7 +748,7 @@ mod tests {
     use super::*;
 
     fn parse(src: &str) -> ParsedFile {
-        parse_file(src, "test", &LintConfig::default())
+        parse_file(src, "test")
     }
 
     fn call_names(nodes: &[Node]) -> Vec<String> {
@@ -898,10 +867,9 @@ mod tests {
     }
 
     #[test]
-    fn context_from_name_and_directive() {
+    fn context_from_name() {
         let src = "fn recover_lazy() { x(); }\n\
-                   // lp-lint: context(wal)\n\
-                   fn plain() { y(); }\n\
+                   fn wal_plain() { y(); }\n\
                    fn other() { z(); }";
         let f = parse(src);
         assert_eq!(f.fns[0].context, FnContext::Recovery);
@@ -911,7 +879,7 @@ mod tests {
 
     #[test]
     fn wal_file_context_default() {
-        let f = parse_file("fn commit() { x(); }", "wal", &LintConfig::default());
+        let f = parse_file("fn commit() { x(); }", "wal");
         assert_eq!(f.fns[0].context, FnContext::Wal);
     }
 

@@ -9,7 +9,7 @@
 use std::path::{Path, PathBuf};
 
 use lp_lint::differential::rigs_report;
-use lp_lint::{analyze_source, default_targets, lint_paths, LintConfig};
+use lp_lint::{analyze_source, default_targets, lint_paths};
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -44,14 +44,14 @@ fn golden_check(name: &str, actual: &str) {
 /// add.
 #[test]
 fn rigs_json_golden() {
-    let mut json = rigs_report(&LintConfig::default()).to_json();
+    let mut json = rigs_report().to_json();
     json.push('\n');
     golden_check("rigs.json", &json);
 }
 
 #[test]
 fn rigs_pretty_golden() {
-    let pretty = rigs_report(&LintConfig::default()).to_string();
+    let pretty = rigs_report().to_string();
     golden_check("rigs.txt", &pretty);
 }
 
@@ -70,7 +70,7 @@ fn efficiency_report() -> lp_lint::LintReport {
     .iter()
     .map(|n| root.join("fixtures").join(n))
     .collect();
-    lint_paths(&paths, &root, &LintConfig::default()).expect("lint fixtures")
+    lint_paths(&paths, &root).expect("lint fixtures")
 }
 
 #[test]
@@ -105,7 +105,6 @@ fn known_misses_stay_recorded() {
             &fixture(&format!("known_misses/{stem}.rs")),
             &format!("fixtures/known_misses/{stem}.rs"),
             stem,
-            &LintConfig::default(),
         );
         assert!(
             !report.findings.iter().any(|v| v.rule == rule),
@@ -120,7 +119,7 @@ fn clean_tree_has_zero_findings() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let targets = default_targets(&root).expect("enumerate lint surface");
     assert!(targets.len() >= 10, "lint surface unexpectedly small");
-    let report = lint_paths(&targets, &root, &LintConfig::default()).expect("lint tree");
+    let report = lint_paths(&targets, &root).expect("lint tree");
     assert!(report.is_clean(), "clean tree must lint clean:\n{report}");
     assert_eq!(report.files.len(), targets.len());
 }
@@ -139,7 +138,7 @@ fn every_buggy_fixture_is_dirty_and_control_is_clean() {
     for f in fixtures {
         let stem = f.file_stem().unwrap().to_string_lossy().into_owned();
         let src = std::fs::read_to_string(&f).unwrap();
-        let report = analyze_source(&src, &stem, &stem, &LintConfig::default());
+        let report = analyze_source(&src, &stem, &stem);
         if stem == "clean_control" {
             assert!(report.is_clean(), "{report}");
         } else {

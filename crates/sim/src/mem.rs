@@ -380,17 +380,15 @@ impl Nvmm {
 mod private {
     pub trait Sealed {}
     impl Sealed for f64 {}
-    impl Sealed for f32 {}
     impl Sealed for u64 {}
     impl Sealed for u32 {}
-    impl Sealed for i64 {}
 }
 
 /// Plain scalar types that can live in simulated persistent memory.
 ///
-/// This trait is sealed; it is implemented for `f64`, `f32`, `u64`, `u32`
-/// and `i64`. Values are stored as little-endian bit patterns so that a
-/// crash (which operates on raw bytes) round-trips exactly.
+/// This trait is sealed; it is implemented for `f64`, `u64` and `u32`.
+/// Values are stored as little-endian bit patterns so that a crash (which
+/// operates on raw bytes) round-trips exactly.
 pub trait Scalar: private::Sealed + Copy + PartialEq + std::fmt::Debug + Default {
     /// Size of the scalar in bytes.
     const SIZE: usize;
@@ -409,18 +407,6 @@ impl Scalar for f64 {
     #[inline]
     fn from_bits64(bits: u64) -> Self {
         f64::from_bits(bits)
-    }
-}
-
-impl Scalar for f32 {
-    const SIZE: usize = 4;
-    #[inline]
-    fn to_bits64(self) -> u64 {
-        self.to_bits() as u64
-    }
-    #[inline]
-    fn from_bits64(bits: u64) -> Self {
-        f32::from_bits(bits as u32)
     }
 }
 
@@ -445,18 +431,6 @@ impl Scalar for u32 {
     #[inline]
     fn from_bits64(bits: u64) -> Self {
         bits as u32
-    }
-}
-
-impl Scalar for i64 {
-    const SIZE: usize = 8;
-    #[inline]
-    fn to_bits64(self) -> u64 {
-        self as u64
-    }
-    #[inline]
-    fn from_bits64(bits: u64) -> Self {
-        bits as i64
     }
 }
 
@@ -772,10 +746,8 @@ mod tests {
     #[test]
     fn scalar_roundtrips() {
         assert_eq!(f64::from_bits64(1.25f64.to_bits64()), 1.25);
-        assert_eq!(f32::from_bits64(7.5f32.to_bits64()), 7.5);
         assert_eq!(u64::from_bits64(u64::MAX.to_bits64()), u64::MAX);
         assert_eq!(u32::from_bits64(12345u32.to_bits64()), 12345);
-        assert_eq!(i64::from_bits64((-17i64).to_bits64()), -17);
     }
 
     #[test]
