@@ -82,6 +82,12 @@ cmp /tmp/lp_scale_t1.txt /tmp/lp_scale_t8.txt \
   || { echo "reports differ between threads 1 and 8"; exit 1; }
 rm -f /tmp/lp_scale_t1.txt /tmp/lp_scale_t8.txt
 
+echo "== sampling profile: the lp-crashmc smoke run spends at least half its CPU time in lp-sim =="
+# tools/profile.py preloads the std-only SIGPROF sampler (tools/sampler)
+# into the release binary built above and symbolizes its samples; the
+# innermost workspace frame of each sample names its crate.
+python3 tools/profile.py --top 10 --require lp_sim:50 -- target/release/lp-crashmc --budget smoke --threads 1
+
 echo "== lp-lint: clean tree must have zero findings (S1-S7, W1-W4), within the wall-time budget =="
 lint_t0=$(date +%s%N)
 cargo run --release -q -p lp-lint -- --all
@@ -102,6 +108,9 @@ cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== tools/test_ab.py: the A/B runner's verdict rules =="
 python3 tools/test_ab.py
+
+echo "== tools/test_profile.py: the profiler's symbol attribution and parsers =="
+python3 tools/test_profile.py
 
 echo "== perfbench A/B vs $BASE on this host: 3 pairs per workload, --seconds 0 =="
 # Seed 0 of the change side is the pin check: perfbench compares every

@@ -57,9 +57,11 @@
 
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
 use lp_core::recovery::RecoveryStats;
 use lp_sim::addr::{LineAddr, LINE_BYTES};
+use lp_sim::config::MachineConfig;
 use lp_sim::fault::{draw_word_masks_into, flip_bit, FaultConfig};
 use lp_sim::machine::{Machine, Outcome, ThreadPlan};
 use lp_sim::mem::Nvmm;
@@ -645,11 +647,50 @@ impl Fnv2 {
 /// fresh fork but costs only the cache ways the last recovery touched,
 /// not a newly zeroed NVMM image and cache arrays (the materialized
 /// images themselves are cheap COW overlay forks and are not pooled).
+/// The spare comes from, and goes back to, the call's [`MachinePool`].
 #[derive(Default)]
 struct UnitScratch {
     masks: Vec<u8>,
     lines: Vec<LineAddr>,
     spare: Option<Machine>,
+}
+
+/// The spare post-crash machines of one [`check_cases`] call, handed from
+/// one work unit to the next so that only a unit that finds no spare of
+/// its case's configuration builds one (two L1s and an L2, for the first
+/// state it judges).
+///
+/// A worker holds at most one machine while it runs a unit, and a unit
+/// that finds no spare of its configuration drops one of another before
+/// it builds its own, so no more machines are alive at once than there
+/// are workers. Any spare of the right configuration will do: a
+/// recycled machine equals a fresh fork whatever it judged before.
+#[derive(Default)]
+struct MachinePool(Mutex<Vec<Machine>>);
+
+/// A unit holds the pool's lock only to move one machine in or out.
+const POOL_POISONED: &str = "a work unit panicked while moving a machine in or out of the pool";
+
+impl MachinePool {
+    /// A spare built with `cfg`, if the pool holds one. Otherwise one
+    /// spare of another configuration, if any, is dropped.
+    fn take(&self, cfg: &MachineConfig) -> Option<Machine> {
+        let mut spares = self.0.lock().expect(POOL_POISONED);
+        match spares.iter().position(|m| m.cfg() == cfg) {
+            Some(i) => Some(spares.swap_remove(i)),
+            None => {
+                let other = spares.pop();
+                drop(spares);
+                drop(other);
+                None
+            }
+        }
+    }
+
+    /// Return a unit's spare for the units after it.
+    fn give_back(&self, spare: Machine) {
+        self.0.lock().expect(POOL_POISONED).push(spare);
+    }
 }
 
 /// The dedup key of one state: a fingerprint of every line the census (or
@@ -855,7 +896,13 @@ fn judge_state(
 /// chunked across threads. A duplicate whose first occurrence fell in an
 /// earlier unit is still counted as a hit but re-judged here (its
 /// verdict is identical by construction; only wall-clock is lost).
-fn run_unit(rt: &CaseRuntime, budget: &Budget, seed: u64, unit: &WorkUnit) -> UnitResult {
+fn run_unit(
+    rt: &CaseRuntime,
+    budget: &Budget,
+    seed: u64,
+    unit: &WorkUnit,
+    pool: &MachinePool,
+) -> UnitResult {
     let mut out = UnitResult::default();
     let census = &rt.censuses[unit.point_idx];
     let point = rt.points[unit.point_idx];
@@ -864,7 +911,10 @@ fn run_unit(rt: &CaseRuntime, budget: &Budget, seed: u64, unit: &WorkUnit) -> Un
     let faults = budget.faults;
     let mut seen: HashSet<(u64, u64)> = HashSet::new();
     let mut memo: HashMap<(u64, u64), StateOutcome> = HashMap::new();
-    let mut scratch = UnitScratch::default();
+    let mut scratch = UnitScratch {
+        spare: pool.take(rt.machine.cfg()),
+        ..UnitScratch::default()
+    };
     for (idx, sel) in subsets.iter().enumerate().take(unit.end) {
         let mut frng = state_rng(seed, unit.case, point, idx);
         let mat = materialize_state(
@@ -937,6 +987,9 @@ fn run_unit(rt: &CaseRuntime, budget: &Budget, seed: u64, unit: &WorkUnit) -> Un
             });
         }
     }
+    if let Some(spare) = scratch.spare {
+        pool.give_back(spare);
+    }
     out
 }
 
@@ -986,8 +1039,9 @@ pub fn check_cases(
             }
         }
     }
+    let pool = MachinePool::default();
     let results = par_map(threads, &units, |_, u| {
-        run_unit(&runtimes[u.case], budget, seed, u)
+        run_unit(&runtimes[u.case], budget, seed, u, &pool)
     });
 
     // Phase 3: deterministic merge, strictly in unit order.
@@ -1047,7 +1101,6 @@ pub fn check_case(case: &CheckCase, budget: &Budget, seed: u64) -> McReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lp_sim::config::MachineConfig;
     use lp_sim::memsys::{CensusEntry, CensusOrigin};
 
     #[test]
@@ -1182,7 +1235,7 @@ mod tests {
             start: 0,
             end: 4,
         };
-        let on = run_unit(&rt, &budget, 1, &unit);
+        let on = run_unit(&rt, &budget, 1, &unit, &MachinePool::default());
         assert_eq!(on.states_checked, 4, "duplicates still count");
         assert_eq!(
             on.dedup_hits, 2,
@@ -1196,6 +1249,7 @@ mod tests {
             },
             1,
             &unit,
+            &MachinePool::default(),
         );
         assert_eq!(off.states_checked, on.states_checked);
         assert_eq!(
@@ -1220,9 +1274,9 @@ mod tests {
             start,
             end,
         };
-        let whole = run_unit(&rt, &budget, 1, &unit(0, 4));
-        let a = run_unit(&rt, &budget, 1, &unit(0, 2));
-        let b = run_unit(&rt, &budget, 1, &unit(2, 4));
+        let whole = run_unit(&rt, &budget, 1, &unit(0, 4), &MachinePool::default());
+        let a = run_unit(&rt, &budget, 1, &unit(0, 2), &MachinePool::default());
+        let b = run_unit(&rt, &budget, 1, &unit(2, 4), &MachinePool::default());
         assert_eq!(whole.states_checked, a.states_checked + b.states_checked);
         assert_eq!(
             whole.dedup_hits,
@@ -1251,7 +1305,7 @@ mod tests {
             start: 0,
             end: 4,
         };
-        let r = run_unit(&rt, &budget, 1, &unit);
+        let r = run_unit(&rt, &budget, 1, &unit, &MachinePool::default());
         assert_eq!(r.states_checked, 4);
         assert_eq!(
             r.dedup_hits, 0,

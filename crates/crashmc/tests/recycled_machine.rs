@@ -7,10 +7,12 @@
 //! the spare was left in.
 
 use lp_core::recovery::RecoveryStats;
-use lp_crashmc::cases::all_kernel_cases;
-use lp_crashmc::mc::PreparedCase;
-use lp_kernels::driver::Scale;
+use lp_core::scheme::Scheme;
+use lp_crashmc::cases::{all_kernel_cases, kernel_case};
+use lp_crashmc::mc::{check_case, check_cases, Budget, BudgetMode, McReport, PreparedCase};
+use lp_kernels::driver::{KernelId, Scale};
 use lp_sim::addr::{LineAddr, LINE_BYTES};
+use lp_sim::fault::FaultConfig;
 use lp_sim::machine::{Machine, Outcome};
 use lp_sim::mem::Nvmm;
 use lp_sim::memsys::CrashTrigger;
@@ -104,4 +106,47 @@ fn refork_equals_a_fresh_fork_on_every_kernel_case() {
         }
     }
     assert_eq!(states, 60);
+}
+
+/// The work units of one `check_cases` call hand their spare machines on
+/// to each other, across cases too. Several cases on one machine
+/// configuration, checked together at one and two threads, must report
+/// exactly what each case reports when checked alone. (Under faults a
+/// case's draws depend on its position in the list, so there the pinned
+/// fault-campaign verdicts of `smoke_verdicts` cover the shared spares.)
+#[test]
+fn pooled_spares_leave_every_report_unchanged() {
+    let cases = vec![
+        kernel_case(KernelId::Tmm, Scheme::lazy_default(), Scale::Micro),
+        kernel_case(KernelId::Fft, Scheme::Eager, Scale::Micro),
+        kernel_case(KernelId::Cholesky, Scheme::Wal, Scale::Micro),
+        kernel_case(
+            KernelId::Conv2d,
+            Scheme::lazy_parity_default(),
+            Scale::Micro,
+        ),
+    ];
+    let cfg = (cases[0].build)().machine.cfg().clone();
+    for case in &cases {
+        assert_eq!(
+            *(case.build)().machine.cfg(),
+            cfg,
+            "{}: the cases must share one configuration",
+            case.name
+        );
+    }
+    let budget = Budget {
+        mode: BudgetMode::Sampled(8),
+        k: 3,
+        faults: FaultConfig::none(),
+        dedup: true,
+    };
+    let alone: Vec<McReport> = cases.iter().map(|c| check_case(c, &budget, 42)).collect();
+    for threads in [1, 2] {
+        assert_eq!(
+            check_cases(&cases, &budget, 42, threads),
+            alone,
+            "threads {threads}"
+        );
+    }
 }

@@ -240,16 +240,22 @@ pub fn random_values(seed: u64, len: usize) -> Vec<f64> {
 
 /// Deterministic symmetric-positive-definite matrix for Cholesky:
 /// `A = M·Mᵀ + n·I` with `M` random in `[-1, 1)`.
+///
+/// Each off-diagonal dot product is computed once, for `j < i`, and
+/// mirrored: the product `M[i][k]·M[j][k]` is the same float either way
+/// round and the sum runs over `k` in the same order, so the result is
+/// bit-identical to filling every entry.
 pub fn random_spd(seed: u64, n: usize) -> Vec<f64> {
     let m = random_values(seed, n * n);
     let mut a = vec![0.0f64; n * n];
     for i in 0..n {
-        for j in 0..n {
+        for j in 0..=i {
             let mut s = 0.0;
             for k in 0..n {
                 s += m[i * n + k] * m[j * n + k];
             }
             a[i * n + j] = s;
+            a[j * n + i] = s;
         }
         a[i * n + i] += n as f64;
     }
@@ -363,6 +369,26 @@ mod tests {
                 assert!((a[i * n + j] - a[j * n + i]).abs() < 1e-12);
             }
             assert!(a[i * n + i] > n as f64 * 0.5);
+        }
+    }
+
+    #[test]
+    fn spd_matrix_equals_the_full_product_bit_for_bit() {
+        for n in [1, 2, 7, 16] {
+            let m = random_values(11, n * n);
+            let mut full = vec![0.0f64; n * n];
+            for i in 0..n {
+                for j in 0..n {
+                    let mut s = 0.0;
+                    for k in 0..n {
+                        s += m[i * n + k] * m[j * n + k];
+                    }
+                    full[i * n + j] = s;
+                }
+                full[i * n + i] += n as f64;
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&random_spd(11, n)), bits(&full), "n = {n}");
         }
     }
 

@@ -87,6 +87,7 @@ impl CoreState {
     }
 
     /// Drop completed entries (`<= now`) from the front of a sorted queue.
+    #[inline]
     fn drain_queue(q: &mut VecDeque<u64>, now: u64) {
         while q.front().is_some_and(|&t| t <= now) {
             q.pop_front();
@@ -95,6 +96,7 @@ impl CoreState {
 
     /// Append a completion time, asserting (debug only) the queue stays
     /// sorted: store/flush completions are chained through `sq_chain`.
+    #[inline]
     fn push_sorted(q: &mut VecDeque<u64>, t: u64) {
         debug_assert!(q.back().is_none_or(|&b| b <= t), "queue must stay sorted");
         q.push_back(t);
@@ -111,17 +113,24 @@ impl CoreState {
     }
 
     /// Reserve a store-queue slot, stalling (and counting FUW events) if
-    /// the queue is full.
+    /// the queue is full. Inlined into every store; the stall is not.
+    #[inline]
     fn acquire_sq_slot(&mut self) {
         Self::drain_queue(&mut self.sq, self.cycles);
         if self.sq.len() >= STORE_QUEUE {
-            let min = *self.sq.front().expect("non-empty");
-            self.stats.fuw_events += 1;
-            let stall = min.saturating_sub(self.cycles);
-            self.account_blocked_issue(stall);
-            self.cycles = self.cycles.max(min);
-            Self::drain_queue(&mut self.sq, self.cycles);
+            self.stall_for_sq_slot();
         }
+    }
+
+    /// The full-queue case of [`CoreState::acquire_sq_slot`]: wait for
+    /// the oldest entry to complete.
+    fn stall_for_sq_slot(&mut self) {
+        let min = *self.sq.front().expect("non-empty");
+        self.stats.fuw_events += 1;
+        let stall = min.saturating_sub(self.cycles);
+        self.account_blocked_issue(stall);
+        self.cycles = self.cycles.max(min);
+        Self::drain_queue(&mut self.sq, self.cycles);
     }
 
     /// Reserve an MSHR, stalling (and counting an MSHR-full event) if all
@@ -192,6 +201,14 @@ impl<'a> CoreCtx<'a> {
     /// Ensure `line` is usable in this core's L1 and return the access
     /// outcome plus the L1 way holding the line, so the caller's scalar
     /// read/write needs no further lookup.
+    ///
+    /// Always inlined, with the L1 probe and the hit case of
+    /// [`MemSystem::ensure_in_l1_probed`]: the generic
+    /// [`CoreCtx::load`]/[`CoreCtx::store`] compile in the calling crate,
+    /// where, without link-time optimization, a plain function of lp-sim
+    /// is a call; and with only `#[inline]`, LLVM kept this and the probe
+    /// as calls of their own.
+    #[inline(always)]
     fn access_line(&mut self, line: LineAddr, for_write: bool) -> (crate::memsys::Access, usize) {
         // MSHR acquisition needs to know hit/miss before paying costs. A
         // resident line in any valid state counts as an L1 probe hit for

@@ -30,25 +30,57 @@ use crate::addr::LineAddr;
 struct CmdQueue {
     /// Completion time of the command occupying each slot.
     slots: Vec<u64>,
-    /// Time at which each slot can accept its next command.
-    free_at: Vec<u64>,
     /// The core that last used each slot (`usize::MAX` = background).
     users: Vec<usize>,
+    /// Tournament tree of `(free_at, slot)` pairs, where `free_at` is the
+    /// time a slot can accept its next command. Node 1 is the root, the
+    /// leaf of slot `i` is node `P + i` for `P = N.next_power_of_two()`,
+    /// the padding leaves hold `(u64::MAX, u32::MAX)`, and every inner
+    /// node holds the child with the earlier free time, the left one on
+    /// ties. A left subtree holds only lower slots than its sibling, so
+    /// the root is the lowest slot among those with the earliest free
+    /// time.
+    first_free: Vec<(u64, u32)>,
     /// Cycles a slot is held per command (`max(latency, N × gap)`).
     hold: u64,
     /// Service latency of one command.
     latency: u64,
 }
 
+/// The `first_free` entry of two siblings that wins: the earlier free
+/// time, the left one on ties.
+#[inline]
+fn earlier(left: (u64, u32), right: (u64, u32)) -> (u64, u32) {
+    if right.0 < left.0 {
+        right
+    } else {
+        left
+    }
+}
+
 impl CmdQueue {
     fn new(entries: usize, gap: u64, latency: u64) -> Self {
+        assert!(entries > 0, "a command queue needs at least one slot");
+        let leaves = entries.next_power_of_two();
+        let mut first_free = vec![(u64::MAX, u32::MAX); 2 * leaves];
+        for (i, leaf) in first_free[leaves..leaves + entries].iter_mut().enumerate() {
+            *leaf = (0, i as u32);
+        }
+        for node in (1..leaves).rev() {
+            first_free[node] = earlier(first_free[2 * node], first_free[2 * node + 1]);
+        }
         CmdQueue {
             slots: vec![0u64; entries],
-            free_at: vec![0u64; entries],
             users: vec![usize::MAX; entries],
+            first_free,
             hold: latency.max(entries as u64 * gap),
             latency,
         }
+    }
+
+    /// Time at which slot `i` can accept its next command.
+    fn free_at(&self, i: usize) -> u64 {
+        self.first_free[self.first_free.len() / 2 + i].0
     }
 
     /// Schedule a command arriving at `now`; returns `(slot, completion)`.
@@ -60,24 +92,74 @@ impl CmdQueue {
     /// set by a *different* core more than one service window in this
     /// request's future cannot actually have contended with it, so it is
     /// treated as free at `now`; a core's own history always applies
-    /// (real backpressure).
+    /// (real backpressure). The slot taken is the lowest index among those
+    /// with the earliest such effective free time.
+    ///
+    /// The pick costs O(1) whenever some slot is free before `now`. Let
+    /// `m` be the slot at the root of `first_free`, the lowest index with
+    /// the minimum `free_at`. If `free_at[m] < now`, `m` is also the
+    /// answer of a scan over every slot's effective time:
+    ///
+    /// - `m`'s effective time is `free_at[m]`, since `free_at[m]` is not
+    ///   past `now + hold`;
+    /// - every slot's effective time is at least `min(free_at[i], now)`:
+    ///   it is either `free_at[i]`, or `now` for a slot of another core
+    ///   whose `free_at[i]` is past `now + hold`;
+    /// - a slot with `free_at[i] >= now` therefore reads at least `now`,
+    ///   which is later than `free_at[m]`;
+    /// - a slot with `free_at[i] < now` reads `free_at[i]`, which is not
+    ///   below `free_at[m]`; it ties with `m` only when the two free
+    ///   times are equal, and then its index is higher, because `m` is
+    ///   the first index with that time.
+    ///
+    /// Otherwise every slot is busy at `now` (backpressure), and the pick
+    /// scans every slot's effective time, lowest index first on ties.
+    /// Either way, the slot's new `free_at` then replays the tree from its
+    /// leaf to the root, in O(log N).
     fn schedule(&mut self, now: u64, user: usize) -> (usize, u64) {
+        let (first, m) = self.first_free[1];
+        let (idx, start) = if first < now {
+            (m as usize, now)
+        } else {
+            self.scan(now, user)
+        };
+        let completion = start + self.latency;
+        self.slots[idx] = completion;
+        self.users[idx] = user;
+        // Climb from the slot's leaf, carrying the winner so far: each
+        // level reads only the sibling.
+        let mut node = self.first_free.len() / 2 + idx;
+        let mut winner = (start + self.hold, idx as u32);
+        self.first_free[node] = winner;
+        while node > 1 {
+            let sibling = self.first_free[node ^ 1];
+            winner = if node.is_multiple_of(2) {
+                earlier(winner, sibling)
+            } else {
+                earlier(sibling, winner)
+            };
+            node /= 2;
+            self.first_free[node] = winner;
+        }
+        (idx, completion)
+    }
+
+    /// The backpressure case of [`CmdQueue::schedule`]: the first slot
+    /// with the minimum effective free time, and the time it starts.
+    #[cold]
+    fn scan(&self, now: u64, user: usize) -> (usize, u64) {
         let eff = |i: usize| -> u64 {
-            if self.users[i] == user || self.free_at[i] <= now + self.hold {
-                self.free_at[i]
+            let free_at = self.free_at(i);
+            if self.users[i] == user || free_at <= now + self.hold {
+                free_at
             } else {
                 now
             }
         };
-        let idx = (0..self.free_at.len())
+        let idx = (0..self.slots.len())
             .min_by_key(|&i| eff(i))
             .expect("queue has at least one slot");
-        let start = now.max(eff(idx));
-        let completion = start + self.latency;
-        self.slots[idx] = completion;
-        self.free_at[idx] = start + self.hold;
-        self.users[idx] = user;
-        (idx, completion)
+        (idx, now.max(eff(idx)))
     }
 
     /// Whether a command completing at `t` is plausibly in flight for a
@@ -98,6 +180,15 @@ pub struct WriteOutcome {
     pub merged: bool,
 }
 
+/// Buckets of [`MemCtrl`]'s line-to-write-slot index.
+const LINE_BUCKETS: usize = 256;
+
+/// The bucket of `line` in [`MemCtrl`]'s line-to-write-slot index (a
+/// multiplicative hash: the top 8 bits of `line × 2⁶⁴/φ`).
+fn line_bucket(line: u64) -> usize {
+    (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as usize
+}
+
 /// The NVMM memory controller: read queue + coalescing ADR write queue.
 #[derive(Debug, Clone)]
 pub struct MemCtrl {
@@ -105,11 +196,19 @@ pub struct MemCtrl {
     writes: CmdQueue,
     /// Line occupying each write slot (`u64::MAX` = none).
     write_lines: Vec<u64>,
+    /// Bit `i` of `line_slots[line_bucket(l)]` is set iff write slot `i`
+    /// holds a line `l` of that bucket, so finding a line's write slots
+    /// costs the slots of its bucket, not the whole queue.
+    line_slots: Vec<u64>,
 }
 
 impl MemCtrl {
     /// Build from configuration values (queue entries, command gaps,
     /// service latencies — all in core cycles).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a queue has no slot or the write queue has more than 64.
     pub fn new(
         read_entries: usize,
         write_entries: usize,
@@ -118,11 +217,31 @@ impl MemCtrl {
         read_latency: u64,
         write_latency: u64,
     ) -> Self {
+        assert!(
+            write_entries <= 64,
+            "the line index keeps write slots in 64-bit masks"
+        );
         MemCtrl {
             reads: CmdQueue::new(read_entries, read_gap, read_latency),
             writes: CmdQueue::new(write_entries, write_gap, write_latency),
             write_lines: vec![u64::MAX; write_entries],
+            line_slots: vec![0; LINE_BUCKETS],
         }
+    }
+
+    /// The lowest write slot holding `line` with its command still in
+    /// flight for a request arriving at `now`.
+    fn pending_write(&self, line: LineAddr, now: u64) -> Option<usize> {
+        let mut mask = self.line_slots[line_bucket(line.0)];
+        while mask != 0 {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            if self.write_lines[i] == line.0 && self.writes.in_flight_for(self.writes.slots[i], now)
+            {
+                return Some(i);
+            }
+        }
+        None
     }
 
     /// Schedule a line read arriving at `now`; returns `(completion,
@@ -136,10 +255,8 @@ impl MemCtrl {
         forward_latency: u64,
         core: usize,
     ) -> (u64, bool) {
-        for (i, &l) in self.write_lines.iter().enumerate() {
-            if l == line.0 && self.writes.in_flight_for(self.writes.slots[i], now) {
-                return (now + forward_latency, true);
-            }
+        if self.pending_write(line, now).is_some() {
+            return (now + forward_latency, true);
         }
         (self.reads.schedule(now, core).1, false)
     }
@@ -149,16 +266,20 @@ impl MemCtrl {
     /// an in-flight same-line entry when possible (write combining at the
     /// queue/row-buffer).
     pub fn schedule_write(&mut self, line: LineAddr, now: u64, core: usize) -> WriteOutcome {
-        for (i, &l) in self.write_lines.iter().enumerate() {
-            if l == line.0 && self.writes.in_flight_for(self.writes.slots[i], now) {
-                return WriteOutcome {
-                    completion: self.writes.slots[i],
-                    merged: true,
-                };
-            }
+        if let Some(i) = self.pending_write(line, now) {
+            return WriteOutcome {
+                completion: self.writes.slots[i],
+                merged: true,
+            };
         }
         let (idx, completion) = self.writes.schedule(now, core);
-        self.write_lines[idx] = line.0;
+        let old = std::mem::replace(&mut self.write_lines[idx], line.0);
+        if old != line.0 {
+            if old != u64::MAX {
+                self.line_slots[line_bucket(old)] &= !(1u64 << idx);
+            }
+            self.line_slots[line_bucket(line.0)] |= 1u64 << idx;
+        }
         WriteOutcome {
             completion,
             merged: false,
@@ -169,9 +290,189 @@ impl MemCtrl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Rng64;
 
     fn mc() -> MemCtrl {
         MemCtrl::new(32, 64, 8, 16, 300, 600)
+    }
+
+    /// The reference command queue: every pick scans every slot's
+    /// effective free time. With `ScanCtrl`, whose pending-write lookup
+    /// scans every write slot, it is what the first-free tree and the
+    /// line index must match command for command.
+    #[derive(Debug, Clone)]
+    struct ScanQueue {
+        slots: Vec<u64>,
+        free_at: Vec<u64>,
+        users: Vec<usize>,
+        hold: u64,
+        latency: u64,
+    }
+
+    impl ScanQueue {
+        fn new(entries: usize, gap: u64, latency: u64) -> Self {
+            ScanQueue {
+                slots: vec![0u64; entries],
+                free_at: vec![0u64; entries],
+                users: vec![usize::MAX; entries],
+                hold: latency.max(entries as u64 * gap),
+                latency,
+            }
+        }
+
+        fn schedule(&mut self, now: u64, user: usize) -> (usize, u64) {
+            let eff = |i: usize| -> u64 {
+                if self.users[i] == user || self.free_at[i] <= now + self.hold {
+                    self.free_at[i]
+                } else {
+                    now
+                }
+            };
+            let idx = (0..self.free_at.len())
+                .min_by_key(|&i| eff(i))
+                .expect("queue has at least one slot");
+            let start = now.max(eff(idx));
+            let completion = start + self.latency;
+            self.slots[idx] = completion;
+            self.free_at[idx] = start + self.hold;
+            self.users[idx] = user;
+            (idx, completion)
+        }
+
+        fn in_flight_for(&self, t: u64, now: u64) -> bool {
+            t > now && t <= now + self.latency + self.hold
+        }
+    }
+
+    struct ScanCtrl {
+        reads: ScanQueue,
+        writes: ScanQueue,
+        write_lines: Vec<u64>,
+    }
+
+    impl ScanCtrl {
+        fn new(r: usize, w: usize, rgap: u64, wgap: u64, rlat: u64, wlat: u64) -> Self {
+            ScanCtrl {
+                reads: ScanQueue::new(r, rgap, rlat),
+                writes: ScanQueue::new(w, wgap, wlat),
+                write_lines: vec![u64::MAX; w],
+            }
+        }
+
+        fn schedule_read(
+            &mut self,
+            line: LineAddr,
+            now: u64,
+            fwd: u64,
+            core: usize,
+        ) -> (u64, bool) {
+            for (i, &l) in self.write_lines.iter().enumerate() {
+                if l == line.0 && self.writes.in_flight_for(self.writes.slots[i], now) {
+                    return (now + fwd, true);
+                }
+            }
+            (self.reads.schedule(now, core).1, false)
+        }
+
+        fn schedule_write(&mut self, line: LineAddr, now: u64, core: usize) -> WriteOutcome {
+            for (i, &l) in self.write_lines.iter().enumerate() {
+                if l == line.0 && self.writes.in_flight_for(self.writes.slots[i], now) {
+                    return WriteOutcome {
+                        completion: self.writes.slots[i],
+                        merged: true,
+                    };
+                }
+            }
+            let (idx, completion) = self.writes.schedule(now, core);
+            self.write_lines[idx] = line.0;
+            WriteOutcome {
+                completion,
+                merged: false,
+            }
+        }
+    }
+
+    /// Every slot's state of `q` equals the reference's: after each
+    /// command this pins which slot the command took.
+    fn assert_same_slots(q: &CmdQueue, r: &ScanQueue, what: &str) {
+        let free_at: Vec<u64> = (0..r.slots.len()).map(|i| q.free_at(i)).collect();
+        assert_eq!(q.slots, r.slots, "{what}: completions per slot");
+        assert_eq!(free_at, r.free_at, "{what}: free times per slot");
+        assert_eq!(q.users, r.users, "{what}: users per slot");
+    }
+
+    /// Drive one controller and the scan reference through a seeded
+    /// random command stream and compare every outcome and every slot.
+    fn match_scan_reference(seed: u64) {
+        let mut rng = Rng64::new(seed);
+        let pick = |rng: &mut Rng64, xs: &[u64]| xs[rng.below(xs.len())];
+        let (r, w) = (
+            pick(&mut rng, &[1, 2, 3, 5, 8, 32]) as usize,
+            pick(&mut rng, &[1, 2, 3, 7, 16, 64]) as usize,
+        );
+        let (rgap, wgap) = (rng.below(20) as u64, rng.below(40) as u64);
+        let (rlat, wlat) = (50 + rng.below(400) as u64, 100 + rng.below(800) as u64);
+        let fwd = 1 + rng.below(60) as u64;
+        let mut fast = MemCtrl::new(r, w, rgap, wgap, rlat, wlat);
+        let mut scan = ScanCtrl::new(r, w, rgap, wgap, rlat, wlat);
+        // 1-8 users whose clocks start up to a million cycles apart and
+        // advance independently, so slots set far in another user's
+        // future are common.
+        let users = 1 + rng.below(8);
+        let mut clocks: Vec<u64> = (0..users).map(|_| rng.below(1_000_000) as u64).collect();
+        // A handful of hot lines makes merges and forwards frequent.
+        let lines = 1 + rng.below(24) as u64;
+        for cmd in 0..3000 {
+            let u = rng.below(users);
+            // Bursts at one time saturate the queues and make equal free
+            // times; otherwise the clock moves on by up to a few hundred
+            // cycles, and now and then jumps far ahead.
+            if !rng.chance(0.4) {
+                clocks[u] += if rng.chance(0.02) {
+                    rng.below(200_000) as u64
+                } else {
+                    rng.below(400) as u64
+                };
+            }
+            let now = clocks[u];
+            let line = LineAddr(if rng.chance(0.7) {
+                rng.below(lines as usize) as u64
+            } else {
+                rng.next_u64() >> 8
+            });
+            let what = format!("seed {seed} command {cmd}");
+            if rng.chance(0.5) {
+                let got = fast.schedule_write(line, now, u);
+                let want = scan.schedule_write(line, now, u);
+                assert_eq!(got, want, "{what}: write of {line:?} at {now}");
+                assert_eq!(fast.write_lines, scan.write_lines, "{what}: lines per slot");
+            } else {
+                let got = fast.schedule_read(line, now, fwd, u);
+                let want = scan.schedule_read(line, now, fwd, u);
+                assert_eq!(got, want, "{what}: read of {line:?} at {now}");
+            }
+            assert_same_slots(&fast.reads, &scan.reads, &what);
+            assert_same_slots(&fast.writes, &scan.writes, &what);
+        }
+    }
+
+    #[test]
+    fn slot_pick_matches_the_scan_on_random_streams() {
+        for seed in 0..64 {
+            match_scan_reference(seed);
+        }
+    }
+
+    #[test]
+    fn first_free_breaks_ties_toward_the_lowest_slot() {
+        // Five slots (padded to eight leaves): after a burst, every slot
+        // frees at the same time, and the next pick must be slot 0.
+        let mut q = CmdQueue::new(5, 0, 100);
+        for i in 0..5 {
+            assert_eq!(q.schedule(10, 0), (i, 110));
+        }
+        assert_eq!(q.schedule(200, 0), (0, 300));
+        assert_eq!(q.schedule(200, 0), (1, 300));
     }
 
     #[test]

@@ -554,7 +554,10 @@ impl MemSystem {
         }
     }
 
-    /// Emit a [`MemEvent::Store`] tagged with `core`'s open region.
+    /// Emit a [`MemEvent::Store`] tagged with `core`'s open region. The
+    /// no-observer check inlines into every store; the emission stays out
+    /// of line.
+    #[inline]
     pub(crate) fn observe_store(
         &self,
         core: usize,
@@ -564,7 +567,7 @@ impl MemSystem {
         size: usize,
     ) {
         if self.observer.is_some() {
-            self.observer.emit(MemEvent::Store {
+            self.emit_observed(MemEvent::Store {
                 core,
                 cycle,
                 addr,
@@ -575,10 +578,12 @@ impl MemSystem {
         }
     }
 
-    /// Emit a [`MemEvent::Load`] tagged with `core`'s open region.
+    /// Emit a [`MemEvent::Load`] tagged with `core`'s open region (split
+    /// like [`MemSystem::observe_store`]).
+    #[inline]
     pub(crate) fn observe_load(&self, core: usize, cycle: u64, addr: Addr, size: usize) {
         if self.observer.is_some() {
-            self.observer.emit(MemEvent::Load {
+            self.emit_observed(MemEvent::Load {
                 core,
                 cycle,
                 addr,
@@ -586,6 +591,13 @@ impl MemSystem {
                 region: self.open_region(core),
             });
         }
+    }
+
+    /// Deliver a load or store event to the installed observer, out of
+    /// line from the inlined guards above.
+    #[inline(never)]
+    fn emit_observed(&self, ev: MemEvent) {
+        self.observer.emit(ev);
     }
 
     /// Emit a [`MemEvent::Flush`] tagged with `core`'s open region.
@@ -737,6 +749,7 @@ impl MemSystem {
     /// last-way memo short-circuits the set-associative find; the memo is
     /// validated against the cache on every use, so stale entries (after
     /// evictions, invalidations, or wipes) are harmless.
+    #[inline(always)]
     pub(crate) fn l1_probe(&mut self, core: usize, line: LineAddr) -> Option<usize> {
         let (memo_line, memo_way) = self.l1_memo[core];
         if memo_line == line.0 {
@@ -760,6 +773,13 @@ impl MemSystem {
     /// accept to skip re-finding it. No other cache operation may
     /// intervene between the probe and this call, and the machine must not
     /// be crashed (callers in [`crate::core::CoreCtx`] check once per op).
+    ///
+    /// The hit cases that need no other cache (`Modified` for any access,
+    /// `Exclusive` or `Shared` for a read, `Exclusive` for a write, which
+    /// becomes `Modified`) are inlined into the calling crate with the
+    /// rest of [`crate::core::CoreCtx`]'s generic load and store; the
+    /// upgrade and the miss are [`MemSystem::ensure_in_l1_slow`].
+    #[inline(always)]
     pub(crate) fn ensure_in_l1_probed(
         &mut self,
         core: usize,
@@ -769,40 +789,77 @@ impl MemSystem {
         probe: Option<usize>,
     ) -> (Access, usize) {
         debug_assert!(!self.crashed, "ensure_in_l1_probed on a crashed machine");
+        if let Some(idx) = probe {
+            let l1 = &mut self.l1s[core];
+            match (l1.way(idx).state, for_write) {
+                (Mesi::Modified, _) | (Mesi::Exclusive | Mesi::Shared, false) => {
+                    l1.touch(idx);
+                    return (
+                        Access {
+                            l1_hit: true,
+                            cost: L1_LATENCY,
+                        },
+                        idx,
+                    );
+                }
+                (Mesi::Exclusive, true) => {
+                    l1.touch(idx);
+                    let w = l1.way_mut(idx);
+                    w.state = Mesi::Modified;
+                    w.dirty_since = now;
+                    return (
+                        Access {
+                            l1_hit: true,
+                            cost: L1_LATENCY,
+                        },
+                        idx,
+                    );
+                }
+                _ => {}
+            }
+        }
+        self.ensure_in_l1_slow(core, line, now, for_write, probe)
+    }
 
+    /// [`MemSystem::ensure_in_l1_probed`] for a write to a `Shared` line
+    /// (an upgrade through the directory) and for an L1 miss.
+    fn ensure_in_l1_slow(
+        &mut self,
+        core: usize,
+        line: LineAddr,
+        now: u64,
+        for_write: bool,
+        probe: Option<usize>,
+    ) -> (Access, usize) {
         if let Some(idx) = probe {
             self.l1s[core].touch(idx);
-            let state = self.l1s[core].way(idx).state;
-            let cost = match (state, for_write) {
-                (Mesi::Modified, _) | (Mesi::Exclusive | Mesi::Shared, false) => L1_LATENCY,
-                (Mesi::Exclusive, true) => {
-                    let w = self.l1s[core].way_mut(idx);
-                    w.state = Mesi::Modified;
-                    w.dirty_since = now;
-                    L1_LATENCY
+            assert!(
+                self.l1s[core].way(idx).state == Mesi::Shared && for_write,
+                "only an upgrade reaches the slow path with a resident line"
+            );
+            // Upgrade: invalidate the other sharers through the
+            // directory, then take ownership.
+            let l2idx = self.l2.find(line).expect("inclusion: S line in L2");
+            let sharers = self.l2.way(l2idx).sharers;
+            for o in sharer_bits(sharers) {
+                if o != core && self.l1s[o].invalidate(line).is_some() {
+                    self.stats.coherence_invalidations += 1;
                 }
-                (Mesi::Shared, true) => {
-                    // Upgrade: invalidate the other sharers through the
-                    // directory, then take ownership.
-                    let l2idx = self.l2.find(line).expect("inclusion: S line in L2");
-                    let sharers = self.l2.way(l2idx).sharers;
-                    for o in sharer_bits(sharers) {
-                        if o != core && self.l1s[o].invalidate(line).is_some() {
-                            self.stats.coherence_invalidations += 1;
-                        }
-                    }
-                    let w2 = self.l2.way_mut(l2idx);
-                    w2.sharers = 1u64 << core;
-                    w2.owner = Some(core as u8);
-                    self.l2.touch(l2idx);
-                    let w = self.l1s[core].way_mut(idx);
-                    w.state = Mesi::Modified;
-                    w.dirty_since = now;
-                    L1_LATENCY + L2_LATENCY
-                }
-                (Mesi::Invalid, _) => unreachable!("find() returned an invalid way"),
-            };
-            return (Access { l1_hit: true, cost }, idx);
+            }
+            let w2 = self.l2.way_mut(l2idx);
+            w2.sharers = 1u64 << core;
+            w2.owner = Some(core as u8);
+            self.l2.touch(l2idx);
+            let w = self.l1s[core].way_mut(idx);
+            w.state = Mesi::Modified;
+            w.dirty_since = now;
+            return (
+                Access {
+                    l1_hit: true,
+                    cost: L1_LATENCY + L2_LATENCY,
+                },
+                idx,
+            );
         }
 
         // L1 miss: consult the L2.
