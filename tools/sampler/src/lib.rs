@@ -3,8 +3,10 @@
 //!
 //! When the environment names an output file in `LP_PROFILE_OUT`, the
 //! library arms `setitimer(ITIMER_PROF)` at 1 ms of process CPU time
-//! as it loads. Each `SIGPROF` stores the interrupted program counter in
-//! a preallocated buffer, so the handler neither allocates nor locks.
+//! as it loads; the kernel delivers the signal at most once per
+//! scheduler tick, so samples may come less often. Each `SIGPROF`
+//! stores the interrupted program counter in a preallocated buffer, so
+//! the handler neither allocates nor locks.
 //! When the process exits, the library writes the output file:
 //!
 //! ```text
@@ -32,7 +34,8 @@ use std::sync::OnceLock;
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
 compile_error!("the sampler reads the interrupted PC of x86-64 Linux only");
 
-/// Samples kept: 2²⁰ milliseconds of CPU time, 17 minutes.
+/// Samples kept: 2²⁰, at least 17 minutes of CPU time at one per
+/// millisecond; later ones are counted as dropped.
 const CAPACITY: usize = 1 << 20;
 
 static SAMPLES: [AtomicU64; CAPACITY] = [const { AtomicU64::new(0) }; CAPACITY];
