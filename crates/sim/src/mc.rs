@@ -146,7 +146,6 @@ impl CmdQueue {
 
     /// The backpressure case of [`CmdQueue::schedule`]: the first slot
     /// with the minimum effective free time, and the time it starts.
-    #[cold]
     fn scan(&self, now: u64, user: usize) -> (usize, u64) {
         let eff = |i: usize| -> u64 {
             let free_at = self.free_at(i);
@@ -461,18 +460,6 @@ mod tests {
         for seed in 0..64 {
             match_scan_reference(seed);
         }
-    }
-
-    #[test]
-    fn first_free_breaks_ties_toward_the_lowest_slot() {
-        // Five slots (padded to eight leaves): after a burst, every slot
-        // frees at the same time, and the next pick must be slot 0.
-        let mut q = CmdQueue::new(5, 0, 100);
-        for i in 0..5 {
-            assert_eq!(q.schedule(10, 0), (i, 110));
-        }
-        assert_eq!(q.schedule(200, 0), (0, 300));
-        assert_eq!(q.schedule(200, 0), (1, 300));
     }
 
     #[test]

@@ -1,19 +1,17 @@
 #!/usr/bin/env python3
 """Sample where a program of this repository spends its CPU time.
 
-    python3 tools/profile.py [--top N] [--require CRATE:PCT] [--keep FILE] -- COMMAND [ARG ...]
-    python3 tools/profile.py [--top N] [--require CRATE:PCT] --samples FILE
+    python3 tools/profile.py [--top N] [--require CRATE:PCT] -- COMMAND [ARG ...]
 
-The first form builds the sampler (tools/sampler, a std-only library),
-runs COMMAND with it preloaded, and reads the samples it writes at exit:
-the program counter interrupted by each SIGPROF of a 1 ms CPU-time timer
-over all the process's threads. The kernel delivers that signal at most
-once per scheduler tick, so a sample stands for a tick of CPU time
-(5.7 ms on average on the 2-vCPU host of results/sim_op_cost_ab.md). Run the program's binary itself, not `cargo run`, which
-would be the process sampled. COMMAND's stdout goes to stderr, so stdout
-carries only the report. `--keep FILE` keeps the raw samples; the second
-form reads such a file again, as long as the executable has not been
-rebuilt since.
+The script builds the sampler (tools/sampler, a std-only library), runs
+COMMAND with it preloaded, and reads the samples it writes at exit: the
+program counter interrupted by each SIGPROF of a 1 ms CPU-time timer over
+all the process's threads. The kernel delivers that signal at most once
+per scheduler tick, so a sample stands for a tick of CPU time (5.7 ms on
+average on the 2-vCPU host of results/sim_op_cost_ab.md). Run the
+program's binary itself, not `cargo run`, which would be the process
+sampled. COMMAND's stdout goes to stderr, so stdout carries only the
+report.
 
 Samples in the executable are symbolized with `addr2line -f -i -C`, which
 lists the inlined frames at each address, innermost first. A sample goes
@@ -230,25 +228,13 @@ def main():
     ap.add_argument("--top", type=int, default=25)
     ap.add_argument("--require", action="append", default=[],
                     metavar="CRATE:PCT")
-    ap.add_argument("--keep", metavar="FILE")
-    ap.add_argument("--samples", metavar="FILE")
-    ap.add_argument("command", nargs="*")
+    ap.add_argument("command", nargs="+")
     args = ap.parse_args()
-    if bool(args.samples) == bool(args.command):
-        ap.error("give either --samples FILE or -- COMMAND")
-    if args.samples:
-        with open(args.samples) as f:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "samples.txt")
+        run(args.command, path)
+        with open(path) as f:
             text = f.read()
-        exe = parse_samples(text)[0]
-        if os.path.getmtime(exe) > os.path.getmtime(args.samples):
-            sys.exit(f"profile: {exe} changed after {args.samples} was written, "
-                     "so its symbols no longer match the samples")
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            path = args.keep or os.path.join(tmp, "samples.txt")
-            run(args.command, path)
-            with open(path) as f:
-                text = f.read()
     by_crate, out = report(text, args.top)
     print(out)
     if by_crate is None:
